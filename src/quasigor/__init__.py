@@ -21,8 +21,15 @@ from .fields import QQ, PrimeField, RationalField
 from .orders import BlockOrder, GrevlexOrder, LexOrder, elimination_order
 from .rings import Polynomial, PolyRing
 from .parse import parse_generators, parse_polynomial, parse_ring
-from .groebner import GroebnerBasis, buchberger, ideal_membership, normal_form, s_polynomial
-from .ideals import Ideal, exact_quotient
+from .groebner import (
+    GroebnerBasis,
+    buchberger,
+    exact_quotient,
+    ideal_membership,
+    normal_form,
+    s_polynomial,
+)
+from .ideals import Ideal
 from .linkage import (
     CanonicalModulePresentation,
     LinkagePair,

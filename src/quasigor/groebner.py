@@ -1,4 +1,4 @@
-"""Deterministic Buchberger engine.
+"""Deterministic Buchberger engine on packed monomials.
 
 Division ("normal form") always cancels the largest remaining term against
 the first listed reducer whose leading monomial divides it, so remainders
@@ -10,35 +10,53 @@ the lcm, then by pair indices), and finishes with full interreduction and
 monic normalization.  The output is the reduced Groebner basis, which is
 unique for a given ideal and order, hence independent of the order in
 which generators are supplied.
+
+Inside the engine a monomial is one Python int (packed exponent vectors,
+Monagan and Pearce, CASC 2007).  The low bits hold the exponents, one
+field of ``width`` bits per variable, each topped by a guard bit that is
+always clear.  The high bits hold the order key ``order.matrix . m`` as
+signed digits, each digit wide enough for every monomial whose exponents
+fit the fields.  Hence integer ``<`` is the monomial order, multiplication
+and division are ``+`` and ``-``, ``a`` divides ``b`` exactly when
+``b - a`` has no guard bit set, and lcm and coprimality are mask
+operations on the exponent part.  Terms are packed when they enter the
+engine and unpacked when they leave; nothing outside this module sees the
+representation.
+
+The field width comes from the largest input exponent.  A product whose
+exponent reaches a guard bit raises ``_Overflow``, and the whole call is
+redone with fields twice as wide (trace lines an earlier attempt already
+emitted are not repeated).  Exponents therefore never wrap, and there is
+no exponent cap.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left, bisect_right
+from operator import mul
 
 from .errors import InputError, RingMismatchError
-from .rings import (
-    Polynomial,
-    PolyRing,
-    monomial_coprime,
-    monomial_div,
-    monomial_divides,
-    monomial_lcm,
-    monomial_mul,
-)
+from .rings import Polynomial, PolyRing
+
+_MIN_WIDTH = 8  # exponent bits per variable for inputs of small degree
+
+
+class _Overflow(Exception):
+    """A product's exponent outgrew its packed field."""
 
 
 class GroebnerBasis:
     """A reduced Groebner basis: monic, fully interreduced, sorted by
     ascending leading monomial.  Immutable and safe to share."""
 
-    __slots__ = ("ring", "order", "polys", "_reducers")
+    __slots__ = ("ring", "order", "polys", "_division")
 
     def __init__(self, ring: PolyRing, order, polys):
         self.ring = ring
         self.order = order
         self.polys = tuple(polys)
-        self._reducers = None
+        self._division = None  # (engine, packed reducers), built on first use
 
     def leading_monomials(self):
         return tuple(p.leading_monomial() for p in self.polys)
@@ -49,19 +67,23 @@ class GroebnerBasis:
     def normal_form(self, f: Polynomial) -> Polynomial:
         if f.ring.names != self.ring.names or f.ring.field != self.ring.field:
             raise RingMismatchError("polynomial does not belong to the basis ring")
-        if self._reducers is None:
-            weights = self.ring.weights
-            self._reducers = [
-                (
-                    p.leading_monomial(),
-                    sum(w * e for w, e in zip(weights, p.leading_monomial())),
-                    p.terms[1:],
-                )
-                for p in self.polys
-            ]
-        engine = _Engine(self.ring)
-        terms = engine.normal_form_terms(f.terms, self._reducers)
-        return Polynomial(self.ring, terms)
+        if self._division is None:
+            self._division = self._packed(_width(self.polys + (f,)))
+        while True:
+            engine, reducers = self._division
+            try:
+                terms = engine.normal_form_terms(engine.pack_terms(f.terms), reducers)
+                return Polynomial(self.ring, engine.unpack_terms(terms))
+            except _Overflow:
+                self._division = self._packed(2 * engine.width)
+
+    def _packed(self, width):
+        engine = _Engine(self.ring, width)
+        reducers = []
+        for p in self.polys:
+            terms = engine.pack_terms(p.terms)
+            reducers.append((terms[0][0], terms[1:]))
+        return engine, reducers
 
     def contains(self, f: Polynomial) -> bool:
         return not self.normal_form(f)
@@ -87,68 +109,125 @@ class GroebnerBasis:
 
 
 class _Engine:
-    """Shared machinery: cached monomial keys and the division loop."""
+    """Packed monomials for one ring and field width, and the division loop.
 
-    def __init__(self, ring: PolyRing):
+    Holds no per-call state, so one engine serves any number of calls.
+    """
+
+    def __init__(self, ring: PolyRing, width: int):
         self.ring = ring
         self.field = ring.field
         self.weights = ring.weights
-        self._keyfn = ring.order.key
-        self._negkeys = {}
+        self.width = width
+        n = ring.nvars
+        step = width + 1
+        self.shifts = tuple(range(0, n * step, step))
+        self.fmask = (1 << width) - 1
+        self.ones = sum(1 << s for s in self.shifts)
+        self.guard = self.ones << width
+        self.emask = (1 << n * step) - 1
+        # key digits above the exponents, last row lowest; a digit of row r
+        # has absolute value at most sum|row| * fmask, which fits its width
+        rows = [row for row in ring.order.matrix if any(row)]
+        place = 1 << n * step
+        scales = []
+        for row in reversed(rows):
+            scales.append(place)
+            place <<= (sum(map(abs, row)) * self.fmask).bit_length() + 1
+        scales.reverse()
+        self.units = tuple(
+            sum(row[i] * scale for row, scale in zip(rows, scales)) + (1 << self.shifts[i])
+            for i in range(n)
+        )
 
-    def negkey(self, m):
-        nk = self._negkeys.get(m)
-        if nk is None:
-            nk = tuple(-x for x in self._keyfn(m))
-            self._negkeys[m] = nk
-        return nk
+    # -- packing ------------------------------------------------------------
 
-    def wdeg(self, m) -> int:
-        return sum(w * e for w, e in zip(self.weights, m))
+    def pack(self, m) -> int:
+        if max(m) > self.fmask:
+            raise _Overflow
+        return sum(map(mul, m, self.units))
 
-    def sort_terms(self, items):
-        """Descending in the order = ascending in the negated key."""
-        negkey = self.negkey
-        return tuple(sorted(items, key=lambda t: negkey(t[0])))
+    def unpack(self, p):
+        e = p & self.emask
+        fmask = self.fmask
+        return tuple([(e >> s) & fmask for s in self.shifts])
 
-    def normal_form_terms(self, items, reducers):
-        """Fully reduce; ``reducers`` are (lm, lm_wdeg, tail) with monic lm.
+    def pack_terms(self, terms):
+        """Packed terms, descending in the order."""
+        pack = self.pack
+        return tuple(sorted(((pack(m), c) for m, c in terms), reverse=True))
 
-        Returns the remainder as a descending terms tuple.
+    def unpack_terms(self, terms):
+        unpack = self.unpack
+        return tuple((unpack(m), c) for m, c in terms)
+
+    # -- exponent-part operations ------------------------------------------
+
+    def lcm_exps(self, a, b):
+        """Fieldwise maximum of two exponent parts."""
+        ge = ((a | self.guard) - b) & self.guard  # guard bit where a_i >= b_i
+        take_a = ge - (ge >> self.width)
+        return (a & take_a) | (b & ~take_a)
+
+    def record(self, terms):
+        """(lm, lm exponent part, lm support, terms) of a monic element; the
+        support has the guard bit of each nonzero exponent set."""
+        lm = terms[0][0]
+        e = lm & self.emask
+        return (lm, e, ((e | self.guard) - self.ones) & self.guard, terms)
+
+    def pair_key(self, lcm_e):
+        """(weighted degree, packed monomial) of an lcm's exponent part."""
+        m = self.unpack(lcm_e)
+        return sum(map(mul, self.weights, m)), self.pack(m)
+
+    # -- arithmetic ---------------------------------------------------------
+
+    def normal_form_terms(self, items, reducers, quotient=None):
+        """Fully reduce; ``reducers`` are (lm, tail) with monic lm.
+
+        Returns the remainder as a descending terms tuple.  When
+        ``quotient`` is a list, each reduction step appends its (quotient
+        monomial, coefficient) to it; with a single reducer that is the
+        quotient, in descending order.
         """
         p = dict(items)
         if not p:
             return ()
         field = self.field
-        sub, mul, neg = field.sub, field.mul, field.neg
-        negkey = self.negkey
-        heap = [(negkey(m), m) for m in p]
+        sub, mul_, neg = field.sub, field.mul, field.neg
+        guard = self.guard
+        # a divisor of m is no larger than m, so when the reducers ascend
+        # only those up to m need to be tried
+        lms = [lm for lm, _ in reducers]
+        ascending = all(map(int.__lt__, lms, lms[1:]))
+        heap = [-m for m in p]
         heapq.heapify(heap)
         push, pop = heapq.heappush, heapq.heappop
         remainder = []
         while heap:
-            _, m = pop(heap)
+            m = -pop(heap)
             c = p.pop(m, None)
             if c is None:
                 continue
-            mdeg = self.wdeg(m)
-            hit = None
-            for lm, lmdeg, tail in reducers:
-                if lmdeg <= mdeg and monomial_divides(lm, m):
-                    hit = (lm, tail)
+            for lm, tail in reducers[: bisect_right(lms, m)] if ascending else reducers:
+                if not (m - lm) & guard:
                     break
-            if hit is None:
+            else:
                 remainder.append((m, c))
                 continue
-            lm, tail = hit
-            q = monomial_div(m, lm)
+            q = m - lm
+            if quotient is not None:
+                quotient.append((q, c))
             for mg, cg in tail:
-                mm = monomial_mul(mg, q)
-                delta = mul(c, cg)
+                mm = mg + q
+                delta = mul_(c, cg)
                 prev = p.get(mm)
                 if prev is None:
+                    if mm & guard:
+                        raise _Overflow
                     p[mm] = neg(delta)
-                    push(heap, (negkey(mm), mm))
+                    push(heap, -mm)
                 else:
                     s = sub(prev, delta)
                     if s:
@@ -157,21 +236,24 @@ class _Engine:
                         del p[mm]
         return tuple(remainder)
 
-    def spoly_dict(self, f, g):
-        """S-polynomial of two monic (lm, terms) records, as a dict."""
-        lm_f, terms_f = f
-        lm_g, terms_g = g
-        lcm = monomial_lcm(lm_f, lm_g)
-        qf = monomial_div(lcm, lm_f)
-        qg = monomial_div(lcm, lm_g)
+    def spoly_dict(self, terms_f, terms_g, lcm):
+        """S-polynomial of two monic descending terms tuples, as a dict."""
+        qf = lcm - terms_f[0][0]
+        qg = lcm - terms_g[0][0]
+        guard = self.guard
         field = self.field
         acc = {}
         for m, c in terms_f:
-            acc[monomial_mul(m, qf)] = c
+            mm = m + qf
+            if mm & guard:
+                raise _Overflow
+            acc[mm] = c
         for m, c in terms_g:
-            mm = monomial_mul(m, qg)
+            mm = m + qg
             prev = acc.get(mm)
             if prev is None:
+                if mm & guard:
+                    raise _Overflow
                 acc[mm] = field.neg(c)
             else:
                 s = field.sub(prev, c)
@@ -188,8 +270,23 @@ class _Engine:
         if lc == self.field.one:
             return terms
         inv = self.field.inv(lc)
-        mul = self.field.mul
-        return tuple((m, mul(inv, c)) for m, c in terms)
+        mul_ = self.field.mul
+        return tuple((m, mul_(inv, c)) for m, c in terms)
+
+
+def _width(polys) -> int:
+    """Starting field width: room for the largest input exponent doubled."""
+    top = max((max(m) for f in polys for m, _ in f.terms), default=0)
+    return max(_MIN_WIDTH, top.bit_length() + 1)
+
+
+def _widening(ring: PolyRing, width: int, task):
+    """``task(engine)``, redone with fields twice as wide while it overflows."""
+    while True:
+        try:
+            return task(_Engine(ring, width))
+        except _Overflow:
+            width *= 2
 
 
 def _common_ring(polys) -> PolyRing:
@@ -205,21 +302,21 @@ def _working_ring(ring: PolyRing, order) -> PolyRing:
     return ring.with_order(order)
 
 
-def _to_work(f: Polynomial, work: PolyRing) -> Polynomial:
-    if f.ring is work or f.ring == work:
-        return f
-    return work.polynomial(dict(f.terms))
-
-
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     """lcm-cancellation of the leading terms of two nonzero polynomials."""
     if not f or not g:
         raise InputError("S-polynomials need nonzero inputs")
     ring = _common_ring([f, g])
-    engine = _Engine(ring)
-    fm = (f.leading_monomial(), engine.make_monic(f.terms))
-    gm = (g.leading_monomial(), engine.make_monic(g.terms))
-    return ring.polynomial(engine.spoly_dict(fm, gm))
+
+    def run(engine):
+        tf = engine.make_monic(engine.pack_terms(f.terms))
+        tg = engine.make_monic(engine.pack_terms(g.terms))
+        lcm_e = engine.lcm_exps(tf[0][0] & engine.emask, tg[0][0] & engine.emask)
+        _, lcm = engine.pair_key(lcm_e)
+        acc = engine.spoly_dict(tf, tg, lcm)
+        return {engine.unpack(m): c for m, c in acc.items()}
+
+    return ring.polynomial(_widening(ring, _width([f, g]), run))
 
 
 def normal_form(f: Polynomial, basis, order=None) -> Polynomial:
@@ -236,18 +333,43 @@ def normal_form(f: Polynomial, basis, order=None) -> Polynomial:
         raise InputError("reducers must be nonzero")
     ring = _common_ring([f] + basis)
     work = _working_ring(ring, order)
-    engine = _Engine(work)
-    reducers = []
-    for g in basis:
-        g = _to_work(g, work)
-        terms = engine.make_monic(g.terms)
-        lm = terms[0][0]
-        reducers.append((lm, engine.wdeg(lm), terms[1:]))
-    f = _to_work(f, work)
-    result = Polynomial(work, engine.normal_form_terms(f.terms, reducers))
+
+    def run(engine):
+        reducers = []
+        for g in basis:
+            terms = engine.make_monic(engine.pack_terms(g.terms))
+            reducers.append((terms[0][0], terms[1:]))
+        remainder = engine.normal_form_terms(engine.pack_terms(f.terms), reducers)
+        return engine.unpack_terms(remainder)
+
+    terms = _widening(work, _width([f] + basis), run)
     if work is ring:
-        return result
-    return ring.polynomial(dict(result.terms))
+        return Polynomial(work, terms)
+    return ring.polynomial(dict(terms))
+
+
+def exact_quotient(f: Polynomial, g: Polynomial) -> Polynomial:
+    """f / g for f a known multiple of g; raises if the division leaves a
+    remainder."""
+    if not g:
+        raise InputError("division by the zero polynomial")
+    if f.ring != g.ring:
+        raise RingMismatchError("operands belong to different rings")
+    ring = f.ring
+
+    def run(engine):
+        divisor = engine.make_monic(engine.pack_terms(g.terms))
+        quotient = []
+        reducers = [(divisor[0][0], divisor[1:])]
+        if engine.normal_form_terms(engine.pack_terms(f.terms), reducers, quotient):
+            raise InputError("polynomial is not an exact multiple")
+        return engine.unpack_terms(quotient)
+
+    # dividing by g / lc(g) gives lc(g) times the quotient
+    lc = g.terms[0][1]
+    div = ring.field.div
+    terms = _widening(ring, _width([f, g]), run)
+    return Polynomial(ring, tuple((m, div(c, lc)) for m, c in terms))
 
 
 def buchberger(generators, order=None, trace=None) -> GroebnerBasis:
@@ -261,26 +383,39 @@ def buchberger(generators, order=None, trace=None) -> GroebnerBasis:
     if not gens:
         raise InputError("no generators given")
     ring = _common_ring(gens)
+    gens = [g for g in gens if g]
+    if not gens:
+        raise InputError("all generators are zero")
     work = _working_ring(ring, order)
-    engine = _Engine(work)
-    negkey = engine.negkey
+    sent = 0  # trace lines passed on by attempts cut short by _Overflow
 
+    def attempt(engine):
+        seen = 0
+
+        def log(line):
+            nonlocal seen, sent
+            seen += 1
+            if seen > sent:
+                sent = seen
+                trace(line)
+
+        return _complete(engine, gens, log if trace else None)
+
+    return _widening(work, _width(gens), attempt)
+
+
+def _complete(engine, gens, trace) -> GroebnerBasis:
+    work = engine.ring
     seed = []
     seen = set()
     for g in gens:
-        g = _to_work(g, work)
-        if not g:
-            continue
-        terms = engine.make_monic(engine.sort_terms(g.terms))
+        terms = engine.make_monic(engine.pack_terms(g.terms))
         if terms not in seen:
             seen.add(terms)
             seed.append(terms)
-    if not seed:
-        raise InputError("all generators are zero")
-    seed.sort(key=lambda terms: [negkey(m) for m, _ in terms])
+    seed.sort(key=lambda terms: [-m for m, _ in terms])
 
-    basis = _interreduce(engine, seed)
-    records = [(terms[0][0], terms) for terms in basis]
+    records = [engine.record(terms) for terms in _interreduce(engine, seed)]
     reducers = None  # rebuilt lazily after each basis change
 
     pairs = []
@@ -290,19 +425,14 @@ def buchberger(generators, order=None, trace=None) -> GroebnerBasis:
 
     n_zero = 0
     while pairs:
-        where = min(range(len(pairs)), key=lambda k: pairs[k][0])
-        best = pairs.pop(where)
-        (i, j), lcm = best[2], best[3]
+        _, lcm, i, j, _ = heapq.heappop(pairs)
         if trace:
-            trace(f"pair ({i},{j}) lcm={work.monomial_str(lcm)}")
-        s_dict = engine.spoly_dict(records[i], records[j])
+            trace(f"pair ({i},{j}) lcm={work.monomial_str(engine.unpack(lcm))}")
+        s_dict = engine.spoly_dict(records[i][3], records[j][3], lcm)
         if reducers is None:
-            by_ascending_lm = sorted(
-                current, key=lambda k: engine.negkey(records[k][0]), reverse=True
-            )
             reducers = [
-                (records[k][0], engine.wdeg(records[k][0]), records[k][1][1:])
-                for k in by_ascending_lm
+                (records[k][0], records[k][3][1:])
+                for k in sorted(current, key=lambda k: records[k][0])
             ]
         remainder = engine.normal_form_terms(s_dict.items(), reducers)
         if not remainder:
@@ -310,19 +440,18 @@ def buchberger(generators, order=None, trace=None) -> GroebnerBasis:
             if trace:
                 trace("  -> reduced to 0")
             continue
-        terms = engine.make_monic(remainder)
-        records.append((terms[0][0], terms))
+        records.append(engine.record(engine.make_monic(remainder)))
         new_idx = len(records) - 1
         if trace:
-            trace(f"  -> new element g{new_idx}: lm={work.monomial_str(terms[0][0])}")
+            lm = work.monomial_str(engine.unpack(records[new_idx][0]))
+            trace(f"  -> new element g{new_idx}: lm={lm}")
         current, pairs = _update_pairs(engine, records, current, pairs, new_idx)
         reducers = None
     if trace:
         trace(f"{n_zero} pairs reduced to zero")
 
-    final = _reduce_final(engine, [records[k] for k in sorted(current)])
-    polys = [Polynomial(work, terms) for terms in final]
-    polys.sort(key=lambda p: negkey(p.leading_monomial()), reverse=True)
+    final = _reduce_final(engine, [records[k][3] for k in current])
+    polys = [Polynomial(work, engine.unpack_terms(terms)) for terms in final]
     return GroebnerBasis(work, work.order, polys)
 
 
@@ -335,7 +464,7 @@ def _interreduce(engine, seed):
         for i, terms in enumerate(current):
             others = nxt + current[i + 1 :]
             if others:
-                reducers = [(t[0][0], engine.wdeg(t[0][0]), t[1:]) for t in others]
+                reducers = [(t[0][0], t[1:]) for t in others]
                 reduced = engine.normal_form_terms(terms, reducers)
             else:
                 reduced = terms
@@ -348,84 +477,70 @@ def _interreduce(engine, seed):
             return current
 
 
-def _pair_record(engine, records, i, j):
-    lm_i = records[i][0]
-    lm_j = records[j][0]
-    lcm = monomial_lcm(lm_i, lm_j)
-    selection = (engine.wdeg(lcm), engine._keyfn(lcm), i, j)
-    return (selection, (lm_i, lm_j), (i, j), lcm)
-
-
 def _update_pairs(engine, records, current, pairs, new_idx):
     """Gebauer-Moeller pair update when basis element ``new_idx`` arrives.
 
     Applies the coprime-leading-term criterion and the chain criterion,
-    processing candidates in deterministic (sorted index) order.
+    processing candidates in deterministic (sorted index) order.  ``pairs``
+    is a heap of (weighted degree of lcm, lcm, i, j, lcm exponent part).
     """
-    lm_new = records[new_idx][0]
+    guard = engine.guard
+    lcm_exps = engine.lcm_exps
+    _, e_new, s_new, _ = records[new_idx]
 
-    candidates = []
-    survivors = []
-    for idx in sorted(current):
-        candidates.append((idx, monomial_lcm(lm_new, records[idx][0])))
-    for pos, (idx, lcm) in enumerate(candidates):
-        coprime = monomial_coprime(lm_new, records[idx][0])
-        if coprime:
-            survivors.append((idx, lcm, True))
-            continue
-        dominated = False
-        for pos2, (idx2, lcm2) in enumerate(candidates):
-            if pos2 == pos:
-                continue
-            if lcm2 != lcm and monomial_divides(lcm2, lcm):
-                dominated = True
-                break
-            if lcm2 == lcm and pos2 < pos:
-                dominated = True
-                break
-        if not dominated:
-            survivors.append((idx, lcm, False))
+    ordered = sorted(current)
+    lcms = [lcm_exps(e_new, records[idx][1]) for idx in ordered]
+    # a proper divisor of an exponent part is a smaller int
+    ascending = sorted(set(lcms))
+    new_pairs = []
+    for pos, (idx, lcm) in enumerate(zip(ordered, lcms)):
+        if not s_new & records[idx][2]:
+            continue  # coprime leading monomials
+        if lcm in lcms[:pos]:
+            continue  # chain criterion: an earlier pair has the same lcm
+        below = ascending[: bisect_left(ascending, lcm)]
+        if not all(map(guard.__and__, map(lcm.__sub__, below))):
+            continue  # chain criterion: a proper divisor of lcm is an lcm
+        new_pairs.append(engine.pair_key(lcm) + (idx, new_idx, lcm))
 
-    new_pairs = [
-        _pair_record(engine, records, idx, new_idx)
-        for idx, lcm, coprime in survivors
-        if not coprime
+    kept = [
+        rec
+        for rec in pairs
+        if (rec[4] - e_new) & guard
+        or lcm_exps(records[rec[2]][1], e_new) == rec[4]
+        or lcm_exps(records[rec[3]][1], e_new) == rec[4]
     ]
-
-    kept = []
-    for rec in pairs:
-        (lm_i, lm_j) = rec[1]
-        lcm_ij = rec[3]
-        if not monomial_divides(lm_new, lcm_ij):
-            kept.append(rec)
-        elif monomial_lcm(lm_i, lm_new) == lcm_ij or monomial_lcm(lm_j, lm_new) == lcm_ij:
-            kept.append(rec)
     kept.extend(new_pairs)
+    heapq.heapify(kept)
 
-    new_current = [idx for idx in current if not monomial_divides(lm_new, records[idx][0])]
+    new_current = [idx for idx in current if (records[idx][1] - e_new) & guard]
     new_current.append(new_idx)
     return new_current, kept
 
 
-def _reduce_final(engine, records):
-    """Minimize, then tail-reduce every element against all the others."""
-    records = sorted(records, key=lambda rec: engine.negkey(rec[0]))
-    lms = [lm for lm, _ in records]
+def _reduce_final(engine, elements):
+    """Minimize, then tail-reduce every element against all the others.
+
+    The minimal elements form a Groebner basis, so each tail's normal form
+    does not depend on the reducer order; ascending order lets the
+    division loop skip reducers above each term.
+    """
+    elements = sorted(elements, key=lambda terms: terms[0][0])
+    guard = engine.guard
+    lms = [terms[0][0] for terms in elements]
     minimal = [
-        (lm, terms)
-        for i, (lm, terms) in enumerate(records)
-        if not any(j != i and monomial_divides(lms[j], lm) for j in range(len(lms)))
+        terms
+        for i, terms in enumerate(elements)
+        if not any(j != i and not (lms[i] - lm) & guard for j, lm in enumerate(lms))
     ]
+    everyone = [(t[0][0], t[1:]) for t in minimal]
     reduced = []
-    for i, (lm, terms) in enumerate(minimal):
-        others = [rec for j, rec in enumerate(minimal) if j != i]
+    for i, terms in enumerate(minimal):
+        others = everyone[:i] + everyone[i + 1 :]
         if others:
-            reducers = [(o[0], engine.wdeg(o[0]), o[1][1:]) for o in others]
-            new_terms = engine.normal_form_terms(terms, reducers)
-        else:
-            new_terms = terms
-        reduced.append(engine.make_monic(new_terms))
-    return [t for t in reduced if t]
+            terms = engine.make_monic(engine.normal_form_terms(terms, others))
+        reduced.append(terms)
+    return reduced
 
 
 def ideal_membership(f: Polynomial, basis) -> bool:
@@ -433,5 +548,6 @@ def ideal_membership(f: Polynomial, basis) -> bool:
     if isinstance(basis, GroebnerBasis):
         return basis.contains(f)
     gb = buchberger(list(basis))
-    work_f = _to_work(f, gb.ring)
-    return gb.contains(work_f)
+    if f.ring != gb.ring:
+        f = gb.ring.polynomial(dict(f.terms))
+    return gb.contains(f)

@@ -16,9 +16,9 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import InputError, RingMismatchError, UnsupportedRequestError
-from .groebner import GroebnerBasis, buchberger
+from .groebner import GroebnerBasis, buchberger, exact_quotient
 from .orders import elimination_order, GrevlexOrder, LexOrder
-from .rings import Polynomial, PolyRing, monomial_div, monomial_divides, monomial_mul
+from .rings import Polynomial, PolyRing, monomial_divides
 
 
 def _extended_base_order(order, extra: int):
@@ -27,42 +27,6 @@ def _extended_base_order(order, extra: int):
     if isinstance(order, LexOrder):
         return LexOrder(order.nvars + extra)
     raise UnsupportedRequestError("elimination over block-ordered rings is not supported")
-
-
-def exact_quotient(f: Polynomial, g: Polynomial) -> Polynomial:
-    """f / g for f a known multiple of g; raises if the division leaves a
-    remainder."""
-    if not g:
-        raise InputError("division by the zero polynomial")
-    if f.ring != g.ring:
-        raise RingMismatchError("operands belong to different rings")
-    field = f.ring.field
-    key = f.ring.order.key
-    g_lm, g_lc = g.terms[0]
-    g_tail = g.terms[1:]
-    p = dict(f.terms)
-    quotient = {}
-    while p:
-        m = max(p, key=key)
-        c = p.pop(m)
-        if not monomial_divides(g_lm, m):
-            raise InputError("polynomial is not an exact multiple")
-        qm = monomial_div(m, g_lm)
-        qc = field.div(c, g_lc)
-        quotient[qm] = qc
-        for mg, cg in g_tail:
-            mm = monomial_mul(mg, qm)
-            delta = field.mul(qc, cg)
-            prev = p.get(mm)
-            if prev is None:
-                p[mm] = field.neg(delta)
-            else:
-                s = field.sub(prev, delta)
-                if s:
-                    p[mm] = s
-                else:
-                    del p[mm]
-    return f.ring.polynomial(quotient)
 
 
 class Ideal:

@@ -1,8 +1,11 @@
-"""Monomial orders as key functions on exponent tuples.
+"""Monomial orders given by integer matrices.
 
-An order object turns an exponent tuple into a flat tuple of ints such
-that monomial comparison is tuple comparison on keys (bigger key, bigger
-monomial).  All orders here are total and multiplicative.
+Every order here is a matrix order: its key is the integer vector
+``matrix . m`` for an exponent tuple ``m``, and monomial comparison is
+tuple comparison on keys (bigger key, bigger monomial).  The key is
+computed from ``matrix`` and nothing else, so it is linear in the
+exponents by construction, which the packed monomials of the Groebner
+engine rely on.  All orders here are total and multiplicative.
 
 The graded reverse lexicographic order grades by the ring's weights.  A
 declared weight may be 0; such variables contribute a secondary degree
@@ -13,11 +16,62 @@ terminate in rings like k[Z1..Z9, Y] with Y of weight 0.
 
 from __future__ import annotations
 
+from operator import itemgetter, mul
+
 from .errors import InputError
 
 
-class GrevlexOrder:
-    """Weighted graded reverse lexicographic order."""
+def _picker(positions):
+    """Function returning the entries of ``m`` at ``positions`` as a tuple."""
+    if len(positions) == 1:
+        i = positions[0]
+        return lambda m: (m[i],)
+    if not positions:
+        return lambda m: ()
+    return itemgetter(*positions)
+
+
+class _MatrixOrder:
+    """Shared key evaluation: ``key(m) = matrix . m``.
+
+    Rows are evaluated sparsely; consecutive rows with one nonzero entry
+    (the tie-breaking rows of grevlex and lex) are gathered in one step.
+    """
+
+    def _set_matrix(self, rows):
+        self.matrix = tuple(tuple(int(c) for c in row) for row in rows)
+        steps = []
+        for row in self.matrix:
+            entries = [(i, c) for i, c in enumerate(row) if c]
+            if len(entries) == 1 and steps and steps[-1][0]:
+                steps[-1][1].extend(entries)
+            else:
+                steps.append((len(entries) == 1, entries))
+        self._steps = tuple(
+            (single, _picker(tuple(i for i, _ in entries)), tuple(c for _, c in entries))
+            for single, entries in steps
+        )
+
+    def key(self, m):
+        out = []
+        for single, pick, coeffs in self._steps:
+            if single:
+                out.extend(map(mul, pick(m), coeffs))
+            else:
+                out.append(sum(map(mul, pick(m), coeffs)))
+        return tuple(out)
+
+
+def _unit_rows(n, positions, sign=1):
+    return [tuple(sign if j == i else 0 for j in range(n)) for i in positions]
+
+
+class GrevlexOrder(_MatrixOrder):
+    """Weighted graded reverse lexicographic order.
+
+    Rows: the weights, the indicator of the weight-0 variables, then the
+    negated unit vectors from the last variable to the first.
+    """
 
     name = "grevlex"
 
@@ -25,16 +79,9 @@ class GrevlexOrder:
         self.weights = tuple(int(w) for w in weights)
         if any(w < 0 for w in self.weights):
             raise InputError("monomial order weights must be non-negative")
-        self._zero_positions = tuple(i for i, w in enumerate(self.weights) if w == 0)
-
-    def key(self, m):
-        w = self.weights
-        wdeg = 0
-        for i, e in enumerate(m):
-            if e:
-                wdeg += w[i] * e
-        zdeg = sum(m[i] for i in self._zero_positions)
-        return (wdeg, zdeg) + tuple(-e for e in reversed(m))
+        n = len(self.weights)
+        zero = tuple(int(w == 0) for w in self.weights)
+        self._set_matrix([self.weights, zero] + _unit_rows(n, reversed(range(n)), -1))
 
     def restricted_to(self, positions):
         return GrevlexOrder(tuple(self.weights[i] for i in positions))
@@ -49,16 +96,15 @@ class GrevlexOrder:
         return f"GrevlexOrder(weights={self.weights})"
 
 
-class LexOrder:
-    """Pure lexicographic order (first variable dominant)."""
+class LexOrder(_MatrixOrder):
+    """Pure lexicographic order (first variable dominant); the identity
+    matrix."""
 
     name = "lex"
 
     def __init__(self, nvars: int):
         self.nvars = nvars
-
-    def key(self, m):
-        return tuple(m)
+        self._set_matrix(_unit_rows(nvars, range(nvars)))
 
     def restricted_to(self, positions):
         return LexOrder(len(positions))
@@ -73,13 +119,14 @@ class LexOrder:
         return f"LexOrder({self.nvars})"
 
 
-class BlockOrder:
+class BlockOrder(_MatrixOrder):
     """Elimination order: earlier blocks dominate, each block ordered by its
     own sub-order on the block's variables.
 
     ``blocks`` is a sequence of ``(positions, suborder)`` pairs where
     ``positions`` are variable indices into the full exponent tuple.  The
-    blocks must partition the variables.
+    blocks must partition the variables.  The matrix stacks each
+    sub-order's rows, spread onto the block's positions.
     """
 
     name = "block"
@@ -89,12 +136,15 @@ class BlockOrder:
         seen = [i for pos, _ in self.blocks for i in pos]
         if len(seen) != len(set(seen)):
             raise InputError("block order blocks must be disjoint")
-
-    def key(self, m):
-        out = []
+        n = max(seen, default=-1) + 1
+        rows = []
         for positions, sub in self.blocks:
-            out.extend(sub.key(tuple(m[i] for i in positions)))
-        return tuple(out)
+            for sub_row in sub.matrix:
+                row = [0] * n
+                for i, c in zip(positions, sub_row):
+                    row[i] = c
+                rows.append(row)
+        self._set_matrix(rows)
 
     def __eq__(self, other):
         return isinstance(other, BlockOrder) and self.blocks == other.blocks

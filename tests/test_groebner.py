@@ -2,9 +2,12 @@ import random
 
 import pytest
 
+from quasigor import groebner, ideals
 from quasigor.errors import InputError, RingMismatchError
 from quasigor.fields import PrimeField
 from quasigor.groebner import buchberger, ideal_membership, normal_form, s_polynomial
+from quasigor.linkage import verify_quotient_ring
+from quasigor.orders import LexOrder, elimination_order
 from quasigor.parse import parse_ring
 from quasigor.rings import PolyRing
 
@@ -108,27 +111,119 @@ def test_reduced_basis_is_permutation_invariant(rxy):
 
 
 def test_reduced_basis_properties_randomized():
+    # The checks work on exponent tuples, independent of the engine's packed
+    # monomials; the cases cover every order kind and all three field kinds.
     rng = random.Random(31)
-    ring = PolyRing(("x", "y", "z"))
-    for _ in range(20):
-        gens = [random_polynomial(ring, rng) for _ in range(rng.randint(1, 3))]
-        gens = [g for g in gens if g]
-        if not gens:
-            continue
-        gb = buchberger(gens)
-        assert_spoly_closure(gb)
-        lms = gb.leading_monomials()
-        for i, a in enumerate(lms):
-            for j, b in enumerate(lms):
-                if i != j:
-                    assert not all(x <= y for x, y in zip(a, b)), "basis not minimal"
-        for i, p in enumerate(gb):
-            assert p.leading_coefficient() == ring.field.one
-            # fully reduced: no term of p is divisible by another element's lm
-            for m, _ in p.terms:
-                for j, lm in enumerate(lms):
+    xyz = PolyRing(("x", "y", "z"))
+    weighted = PolyRing(("x", "y", "z"), weights=(1, 2, 0))
+    cases = [
+        (xyz, None, 20),
+        (weighted, None, 15),
+        (xyz, LexOrder(3), 15),
+        (xyz, elimination_order(3, [1], xyz.order), 15),
+        (weighted, elimination_order(3, [0], weighted.order), 10),
+        (PolyRing(("x", "y", "z"), PrimeField(2)), None, 15),
+        (PolyRing(("x", "y", "z"), PrimeField(32003)), elimination_order(3, [2], LexOrder(3)), 15),
+    ]
+    for ring, order, count in cases:
+        for _ in range(count):
+            gens = [random_polynomial(ring, rng) for _ in range(rng.randint(1, 3))]
+            gens = [g for g in gens if g]
+            if not gens:
+                continue
+            gb = buchberger(gens, order=order)
+            assert gb.ring.order == (order or ring.order)
+            for g in gens:
+                assert gb.contains(gb.ring.polynomial(dict(g.terms)))
+            assert_spoly_closure(gb)
+            key = gb.ring.order.key
+            lms = gb.leading_monomials()
+            assert [key(m) for m in lms] == sorted(key(m) for m in lms)
+            for i, a in enumerate(lms):
+                for j, b in enumerate(lms):
                     if i != j:
-                        assert not all(x <= y for x, y in zip(lm, m)), "basis not reduced"
+                        assert not all(x <= y for x, y in zip(a, b)), "basis not minimal"
+            for i, p in enumerate(gb):
+                assert p.leading_coefficient() == ring.field.one
+                assert p.leading_monomial() == max((m for m, _ in p.terms), key=key)
+                # fully reduced: no term of p is divisible by another element's lm
+                for m, _ in p.terms:
+                    for j, lm in enumerate(lms):
+                        if i != j:
+                            assert not all(x <= y for x, y in zip(lm, m)), "basis not reduced"
+
+
+def test_exponents_outgrowing_the_packed_fields():
+    # The engine's exponent fields start just wide enough for the inputs;
+    # results must not depend on that width.
+    R = parse_ring("field Q; vars y,x; order lex")
+    gb = buchberger([R.parse("y - x^200"), R.parse("y^200")])
+    assert gb_strings(gb) == ["x^40000", "y - x^200"]
+    # inputs beyond 16 bits per exponent
+    gb = buchberger([R.parse("y - x^70000"), R.parse("y^3 + x")])
+    assert gb_strings(gb) == ["x^210000 + x", "y - x^70000"]
+    # a basis built for small exponents, then asked about large ones
+    basis = buchberger([R.parse("y - x")])
+    assert basis.normal_form(R.parse("y^2")) == R.parse("x^2")
+    assert basis.normal_form(R.parse("y*x^255")) == R.parse("x^256")
+    assert basis.normal_form(R.parse("y*x^100000")) == R.parse("x^100001")
+    assert normal_form(R.parse("y^3*x^65535"), [R.parse("y - x")]) == R.parse("x^65538")
+
+
+def test_widening_does_not_repeat_trace_lines(monkeypatch):
+    widths = []
+    engine = groebner._Engine
+
+    def recording(ring, width):
+        widths.append(width)
+        return engine(ring, width)
+
+    monkeypatch.setattr(groebner, "_Engine", recording)
+    R = parse_ring("field Q; vars y,x; order lex")
+    lines = []
+    gb = buchberger([R.parse("y^3 - x"), R.parse("y*x^250 - 1")], trace=lines.append)
+    assert len(widths) > 1  # the run was redone with wider fields
+    assert gb_strings(gb) == ["x^751 - 1", "y - x^501"]
+    assert lines == [
+        "pair (0,1) lcm=y^3*x^250",
+        "  -> new element g2: lm=y^2",
+        "pair (0,2) lcm=y^3",
+        "  -> reduced to 0",
+        "pair (1,2) lcm=y^2*x^250",
+        "  -> new element g3: lm=y",
+        "pair (2,3) lcm=y^2",
+        "  -> new element g4: lm=x^1002",
+        "pair (1,3) lcm=y*x^250",
+        "  -> new element g5: lm=x^751",
+        "pair (4,5) lcm=x^1002",
+        "  -> reduced to 0",
+        "2 pairs reduced to zero",
+    ]
+
+
+def test_work_counters_on_the_quotient_ring(monkeypatch):
+    # Pair selection order and pruning decide these counts; any change to
+    # either shows up here even when the bases stay the same.
+    counts = dict(calls=0, pairs=0, zero=0, new=0, basis=0)
+    engine_buchberger = ideals.buchberger
+
+    def counting(generators, order=None, trace=None):
+        def count(line):
+            if line.startswith("pair "):
+                counts["pairs"] += 1
+            elif line == "  -> reduced to 0":
+                counts["zero"] += 1
+            elif line.startswith("  -> new element"):
+                counts["new"] += 1
+
+        counts["calls"] += 1
+        gb = engine_buchberger(generators, order=order, trace=count)
+        counts["basis"] += len(gb)
+        return gb
+
+    monkeypatch.setattr(ideals, "buchberger", counting)
+    verify_quotient_ring("F2")
+    assert counts == dict(calls=46, pairs=3605, zero=3294, new=311, basis=874)
 
 
 def test_membership_examples(rxy):

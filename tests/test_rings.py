@@ -4,6 +4,7 @@ import pytest
 
 from quasigor.errors import InputError, RingMismatchError
 from quasigor.fields import PrimeField
+from quasigor.orders import GrevlexOrder, LexOrder, elimination_order
 from quasigor.parse import parse_polynomial, parse_ring
 from quasigor.rings import PolyRing
 
@@ -99,6 +100,24 @@ def test_order_multiplicativity_randomized():
             assert key(tuple(a + b for a, b in zip(m1, n))) < key(
                 tuple(a + b for a, b in zip(m2, n))
             )
+
+
+def test_order_keys_are_matrix_products():
+    grevlex = GrevlexOrder((1, 2, 0))
+    assert grevlex.matrix == ((1, 2, 0), (0, 0, 1), (0, 0, -1), (0, -1, 0), (-1, 0, 0))
+    assert grevlex.key((3, 1, 4)) == (5, 4, -4, -1, -3)
+    assert LexOrder(3).key((3, 1, 4)) == (3, 1, 4)
+    # a block order's key is the blocks' own keys, one after the other
+    rng = random.Random(19)
+    for base in (grevlex, LexOrder(3)):
+        for elim in ([0], [1], [2], [0, 2]):
+            order = elimination_order(3, elim, base)
+            rest = [i for i in range(3) if i not in elim]
+            for _ in range(20):
+                m = tuple(rng.randint(0, 6) for _ in range(3))
+                expected = base.restricted_to(elim).key(tuple(m[i] for i in elim))
+                expected += base.restricted_to(rest).key(tuple(m[i] for i in rest))
+                assert order.key(m) == expected
 
 
 def test_print_parse_round_trip_randomized():
