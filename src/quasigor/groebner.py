@@ -33,7 +33,7 @@ no exponent cap.
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from operator import mul
 
 from .errors import InputError, RingMismatchError
@@ -197,10 +197,6 @@ class _Engine:
         field = self.field
         sub, mul_, neg = field.sub, field.mul, field.neg
         guard = self.guard
-        # a divisor of m is no larger than m, so when the reducers ascend
-        # only those up to m need to be tried
-        lms = [lm for lm, _ in reducers]
-        ascending = all(map(int.__lt__, lms, lms[1:]))
         heap = [-m for m in p]
         heapq.heapify(heap)
         push, pop = heapq.heappush, heapq.heappop
@@ -210,7 +206,7 @@ class _Engine:
             c = p.pop(m, None)
             if c is None:
                 continue
-            for lm, tail in reducers[: bisect_right(lms, m)] if ascending else reducers:
+            for lm, tail in reducers:
                 if not (m - lm) & guard:
                     break
             else:
@@ -519,11 +515,9 @@ def _update_pairs(engine, records, current, pairs, new_idx):
 
 
 def _reduce_final(engine, elements):
-    """Minimize, then tail-reduce every element against all the others.
-
-    The minimal elements form a Groebner basis, so each tail's normal form
-    does not depend on the reducer order; ascending order lets the
-    division loop skip reducers above each term.
+    """Minimize, then tail-reduce every element against all the others;
+    the result ascends by leading monomial.  The minimal elements form a
+    Groebner basis, so the reducer order does not change any tail.
     """
     elements = sorted(elements, key=lambda terms: terms[0][0])
     guard = engine.guard
