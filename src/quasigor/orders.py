@@ -39,7 +39,7 @@ class _MatrixOrder:
     """
 
     def _set_matrix(self, rows):
-        self.matrix = tuple(tuple(int(c) for c in row) for row in rows)
+        self.matrix = tuple(tuple(row) for row in rows)
         steps = []
         for row in self.matrix:
             entries = [(i, c) for i, c in enumerate(row) if c]
