@@ -59,13 +59,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trace", action="store_true", help="step progress on stderr")
 
     p = sub.add_parser("ideal", help="operations on ideals given by text files")
-    p.add_argument("op", choices=[
-        "gb", "dim", "codim", "colon", "intersect", "eliminate", "member", "hilbert", "regular",
-    ])
+    p.add_argument("op", choices=list(IDEAL_OPS))
     p.add_argument("--ring", required=True, metavar="FILE", help="ring declaration file")
     p.add_argument("inputs", nargs="+", help="ideal file(s), then op-specific arguments")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--trace", action="store_true", help="Buchberger trace on stderr")
+    p.add_argument("--trace", action="store_true", help="Buchberger trace on stderr (gb only)")
 
     p = sub.add_parser("divisor", help="Q-divisor computations on P^1")
     p.add_argument("op", choices=["h0", "h1", "floor", "gens", "watanabe", "segre-h2", "segre-qg"])
@@ -89,6 +87,32 @@ def _digest(pieces) -> str:
 
 def _emit_json(payload: dict):
     print(json.dumps(payload, indent=2, sort_keys=True))
+
+
+def _render(result) -> str:
+    if isinstance(result, list):
+        return "\n".join(result)
+    if isinstance(result, bool):
+        return str(result).lower()
+    return str(result)
+
+
+def _emit_result(args, digest_pieces, result, text=None) -> int:
+    """Print an ``ideal``/``divisor`` result: the JSON envelope under
+    ``--json``, else ``text``, which defaults to the rendered result."""
+    if args.json:
+        _emit_json(
+            {
+                "schema_version": SCHEMA_VERSION,
+                "command": args.command,
+                "op": args.op,
+                "inputs_digest": _digest(digest_pieces),
+                "result": result,
+            }
+        )
+    else:
+        print(_render(result) if text is None else text)
+    return EXIT_OK
 
 
 def _run_verification(args) -> int:
@@ -124,66 +148,49 @@ def _take(items: list, count: int, what: str):
     return items
 
 
+def _basis(ideal: Ideal) -> list:
+    return [str(g) for g in ideal.groebner_basis()]
+
+
+def _gb(ideal: Ideal, trace) -> list:
+    # the engine refuses a list of zero generators; the zero ideal's basis is empty
+    return [] if ideal.is_zero_ideal() else [str(g) for g in buchberger(ideal.generators, trace=trace)]
+
+
+def _names(text: str) -> list:
+    return [v.strip() for v in text.split(",") if v.strip()]
+
+
+def _degree(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise InputError(f"bad Hilbert degree {text!r}, expected an integer") from None
+
+
+# op -> (number of inputs, function of the first ideal, the remaining
+# inputs as given and the trace callback, which only ``gb`` uses)
+IDEAL_OPS = {
+    "gb": (1, _gb),
+    "dim": (1, lambda ideal, trace: ideal.dimension()),
+    "codim": (1, lambda ideal, trace: ideal.codimension()),
+    "colon": (2, lambda ideal, path, trace: _basis(ideal.colon(_load_ideal(path, ideal.ring)))),
+    "intersect": (2, lambda ideal, path, trace: _basis(ideal.intersect(_load_ideal(path, ideal.ring)))),
+    "eliminate": (2, lambda ideal, names, trace: _basis(ideal.eliminate(_names(names)))),
+    "member": (2, lambda ideal, expr, trace: ideal.contains(parse_polynomial(expr, ideal.ring))),
+    "hilbert": (2, lambda ideal, degree, trace: ideal.hilbert_function(_degree(degree))),
+    "regular": (2, lambda ideal, expr, trace: ideal.is_regular_element(parse_polynomial(expr, ideal.ring))),
+}
+
+
 def _run_ideal(args) -> int:
     ring = parse_ring(Path(args.ring).read_text(encoding="utf-8"))
-    op = args.op
     inputs = list(args.inputs)
+    count, fn = IDEAL_OPS[args.op]
+    path, *rest = _take(inputs, count, args.op)
     trace = (lambda msg: print(msg, file=sys.stderr)) if args.trace else None
-    result: object
-    if op == "gb":
-        (path,) = _take(inputs, 1, op)
-        ideal = _load_ideal(path, ring)
-        gb = buchberger(ideal.generators, trace=trace) if ideal.generators else ideal.groebner_basis()
-        result = [str(g) for g in gb]
-        text = "\n".join(result)
-    elif op in ("dim", "codim"):
-        (path,) = _take(inputs, 1, op)
-        ideal = _load_ideal(path, ring)
-        result = ideal.dimension() if op == "dim" else ideal.codimension()
-        text = str(result)
-    elif op in ("colon", "intersect"):
-        first, second = _take(inputs, 2, op)
-        left = _load_ideal(first, ring)
-        right = _load_ideal(second, ring)
-        out = left.colon(right) if op == "colon" else left.intersect(right)
-        result = [str(g) for g in out.groebner_basis()]
-        text = "\n".join(result)
-    elif op == "eliminate":
-        path, names = _take(inputs, 2, op)
-        ideal = _load_ideal(path, ring)
-        out = ideal.eliminate([v.strip() for v in names.split(",") if v.strip()])
-        result = [str(g) for g in out.groebner_basis()]
-        text = "\n".join(result)
-    elif op == "member":
-        path, expr = _take(inputs, 2, op)
-        ideal = _load_ideal(path, ring)
-        result = ideal.contains(parse_polynomial(expr, ring))
-        text = str(result).lower()
-    elif op == "hilbert":
-        path, degree = _take(inputs, 2, op)
-        ideal = _load_ideal(path, ring)
-        result = ideal.hilbert_function(int(degree))
-        text = str(result)
-    elif op == "regular":
-        path, expr = _take(inputs, 2, op)
-        ideal = _load_ideal(path, ring)
-        result = ideal.is_regular_element(parse_polynomial(expr, ring))
-        text = str(result).lower()
-    else:  # pragma: no cover - argparse restricts choices
-        raise InputError(f"unknown op {op!r}")
-    if args.json:
-        _emit_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "command": "ideal",
-                "op": op,
-                "inputs_digest": _digest([args.ring] + inputs),
-                "result": result,
-            }
-        )
-    else:
-        print(text)
-    return EXIT_OK
+    result = fn(_load_ideal(path, ring), *rest, trace)
+    return _emit_result(args, [args.ring] + inputs, result)
 
 
 def _table(spec: str):
@@ -195,17 +202,11 @@ def _table(spec: str):
 def _run_divisor(args) -> int:
     op = args.op
     inputs = list(args.inputs)
-    result: object
+    text = None
     if op in ("h0", "h1", "floor"):
         (expr,) = _take(inputs, 1, op)
-        divisor = dv.parse_divisor(expr)
-        floored = divisor.floor_multiple(args.n)
-        if op == "floor":
-            result = str(floored)
-            text = result
-        else:
-            result = dv.h0(floored) if op == "h0" else dv.h1(floored)
-            text = str(result)
+        floored = dv.parse_divisor(expr).floor_multiple(args.n)
+        result = str(floored) if op == "floor" else (dv.h0 if op == "h0" else dv.h1)(floored)
     elif op == "gens":
         (expr,) = _take(inputs, 1, op)
         if args.bound is None:
@@ -219,14 +220,11 @@ def _run_divisor(args) -> int:
         if args.a is None:
             raise InputError("'watanabe' needs --a")
         result = dv.watanabe_gorenstein(dv.parse_divisor(expr), args.a)
-        text = str(result).lower()
     elif op == "segre-h2":
         left, right = _take(inputs, 2, op)
-        value = dv.segre_local_cohomology_dim(_table(left), _table(right), args.i, args.n)
-        result = value
-        text = str(value)
-        if args.i == 2 and value:
-            text += "\nnon-Cohen-Macaulay witness: nonzero H^2 in a graded piece"
+        result = dv.segre_local_cohomology_dim(_table(left), _table(right), args.i, args.n)
+        if args.i == 2 and result:
+            text = f"{result}\nnon-Cohen-Macaulay witness: nonzero H^2 in a graded piece"
     elif op == "segre-qg":
         left, right = _take(inputs, 2, op)
         if args.a is None:
@@ -237,23 +235,10 @@ def _run_divisor(args) -> int:
         except ValueError:
             raise InputError(f"bad --range {args.n_range!r}, expected LO:HI") from None
         result = dv.quasi_gorenstein_hilbert_check(_table(left), _table(right), args.a, n_range)
-        text = str(result).lower()
-        text += "  (necessary condition at Hilbert-function level, not a proof)"
+        text = _render(result) + "  (necessary condition at Hilbert-function level, not a proof)"
     else:  # pragma: no cover
         raise InputError(f"unknown op {op!r}")
-    if args.json:
-        _emit_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "command": "divisor",
-                "op": op,
-                "inputs_digest": _digest(inputs),
-                "result": result,
-            }
-        )
-    else:
-        print(text)
-    return EXIT_OK
+    return _emit_result(args, inputs, result, text)
 
 
 def main(argv=None) -> int:

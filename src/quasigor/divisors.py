@@ -171,9 +171,6 @@ class SectionSpace:
     denominator: Polynomial
     numerators: tuple
 
-    def sections(self):
-        return tuple((num, self.denominator) for num in self.numerators)
-
     def __len__(self):
         return len(self.numerators)
 
@@ -388,7 +385,6 @@ class P1CohomologyTable:
 
     def __init__(self, divisor: QDivisor):
         self.divisor = divisor
-        self.genus = 0
 
     def h0(self, n: int) -> int:
         return h0(self.divisor.floor_multiple(n))
@@ -396,16 +392,11 @@ class P1CohomologyTable:
     def h1(self, n: int) -> int:
         return h1(self.divisor.floor_multiple(n))
 
-    def describe(self) -> str:
-        return f"P1({self.divisor})"
-
 
 class EllipticCohomologyTable:
     """Fixed table for a degree-3 polarization of an elliptic curve:
     h0 = 1, 3n for n = 0, n >= 1, else 0, and h1(n) = h0(-n) (genus 1,
     trivial canonical divisor).  Valid away from characteristic 3."""
-
-    genus = 1
 
     def h0(self, n: int) -> int:
         if n < 0:
@@ -416,9 +407,6 @@ class EllipticCohomologyTable:
 
     def h1(self, n: int) -> int:
         return self.h0(-n)
-
-    def describe(self) -> str:
-        return "elliptic(deg 3)"
 
 
 def segre_hilbert(table1, table2, n: int) -> int:

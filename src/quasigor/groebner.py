@@ -538,10 +538,8 @@ def _reduce_final(engine, elements):
 
 
 def ideal_membership(f: Polynomial, basis) -> bool:
-    """True iff f reduces to zero against the (computed) Groebner basis."""
+    """True iff f reduces to zero against the (computed) Groebner basis.
+    Raises RingMismatchError when f has other variables or another field."""
     if isinstance(basis, GroebnerBasis):
         return basis.contains(f)
-    gb = buchberger(list(basis))
-    if f.ring != gb.ring:
-        f = gb.ring.polynomial(dict(f.terms))
-    return gb.contains(f)
+    return buchberger(list(basis)).contains(f)

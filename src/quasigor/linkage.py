@@ -115,26 +115,22 @@ def minimal_generator_count(pair: LinkagePair) -> int:
     return present_canonical_module(pair).min_generators
 
 
-def is_quasi_gorenstein(ambient: Ideal, link: Ideal) -> bool:
+def is_quasi_gorenstein(pair: LinkagePair) -> bool:
     """True iff the linkage module is cyclic (mu = 1).
 
     This certifies the canonical module of the unmixed part; pair it with
     ``is_unmixed`` when the ideal is not known to be unmixed.
     """
-    pair = ambient if isinstance(ambient, LinkagePair) else build_linkage(ambient, link)
     return minimal_generator_count(pair) == 1
 
 
-def unmixed_part(ambient, link: Ideal | None = None) -> Ideal:
+def unmixed_part(pair: LinkagePair) -> Ideal:
     """link : (link : ambient), the intersection of the top-dimensional
-    primary components of the ambient ideal.  Accepts either an
-    (ambient, link) pair of ideals or an already-built LinkagePair."""
-    pair = ambient if isinstance(ambient, LinkagePair) else build_linkage(ambient, link)
+    primary components of the ambient ideal."""
     return pair.link.colon(pair.colon)
 
 
-def is_unmixed(ambient, link: Ideal | None = None) -> bool:
-    pair = ambient if isinstance(ambient, LinkagePair) else build_linkage(ambient, link)
+def is_unmixed(pair: LinkagePair) -> bool:
     return unmixed_part(pair) == pair.ambient
 
 
@@ -194,25 +190,34 @@ def _timed(report: VerificationReport, label: str, fn):
     return value
 
 
-def verify_counterexample(field="Q") -> VerificationReport:
-    """Full pipeline on the deformed Segre ring: codimensions, canonical
-    module generator count, colon stability of Y, unmixedness.
+# command -> (ring, ambient and link loaders, expected mu, deformation
+# variable); a ring with a deformation variable also gets its regularity
+# and the unmixedness of the ideal checked
+_PIPELINES = {
+    "verify-counterexample": (
+        segre.deformation_ring, segre.deformation_ideal, segre.deformation_link, 9, "Y",
+    ),
+    "verify-quotient": (segre.segre_ring, segre.segre_ideal, segre.segre_link, 1, None),
+}
+
+
+def _verify(command: str, field) -> VerificationReport:
+    """The liaison pipeline on one built-in ring: codimensions, canonical
+    module generator count, then colon stability of the deformation
+    variable and unmixedness where the ring has one.
 
     Over Q and F2 every step is asserted; other prime fields run the same
     computation flagged experimental, with nothing asserted.
     """
+    make_ring, make_ambient, make_link, expected_mu, deformation = _PIPELINES[command]
     field_obj = segre.resolve_field(field)
     label = segre.field_label(field_obj)
     asserted = label in ("Q", "F2")
-    report = VerificationReport(
-        command="verify-counterexample",
-        field_label=label,
-        experimental=not asserted,
-    )
+    report = VerificationReport(command=command, field_label=label, experimental=not asserted)
 
-    ring = segre.deformation_ring(field_obj)
-    ambient = segre.deformation_ideal(ring)
-    link = segre.deformation_link(ring)
+    ring = make_ring(field_obj)
+    ambient = make_ambient(ring)
+    link = make_link(ring)
 
     codim_link = _timed(report, "codim-link", link.codimension)
     report.add("codim-link", codim_link, 6, asserted)
@@ -222,60 +227,32 @@ def verify_counterexample(field="Q") -> VerificationReport:
 
     pair = _timed(report, "linkage-colon", lambda: build_linkage(ambient, link))
     mu = _timed(report, "canonical-min-gens", lambda: minimal_generator_count(pair))
-    report.add("canonical-min-gens", mu, 9, asserted)
-    report.add("quasi-gorenstein", mu == 1, False, asserted)
-
-    y = ring.variable("Y")
-    y_regular = _timed(report, "regular-element", lambda: ambient.is_regular_element(y))
-    report.add("regular-element", y_regular, True, asserted)
-
-    unmixed = _timed(report, "unmixed", lambda: unmixed_part(pair) == ambient)
-    report.add("unmixed", unmixed, True, asserted)
-
+    report.add("canonical-min-gens", mu, expected_mu, asserted)
+    report.add("quasi-gorenstein", mu == 1, expected_mu == 1, asserted)
     report.summary = {
         "codim_c": codim_link,
         "codim_a": codim_ambient,
         "codims_equal": codim_link == codim_ambient,
         "mu_canonical": mu,
         "quasi_gorenstein": mu == 1,
-        "y_regular": y_regular,
-        "unmixed": unmixed,
     }
+    if deformation is None:
+        return report
+
+    y = ring.variable(deformation)
+    y_regular = _timed(report, "regular-element", lambda: ambient.is_regular_element(y))
+    report.add("regular-element", y_regular, True, asserted)
+    unmixed = _timed(report, "unmixed", lambda: is_unmixed(pair))
+    report.add("unmixed", unmixed, True, asserted)
+    report.summary.update(y_regular=y_regular, unmixed=unmixed)
     return report
+
+
+def verify_counterexample(field="Q") -> VerificationReport:
+    """The deformed Segre ring R: mu = 9, Y regular, the ideal unmixed."""
+    return _verify("verify-counterexample", field)
 
 
 def verify_quotient_ring(field="Q") -> VerificationReport:
-    """Same Nakayama pipeline on the Segre product itself (the quotient by
-    Y): the induced link must give a cyclic canonical module (mu = 1)."""
-    field_obj = segre.resolve_field(field)
-    label = segre.field_label(field_obj)
-    asserted = label in ("Q", "F2")
-    report = VerificationReport(
-        command="verify-quotient",
-        field_label=label,
-        experimental=not asserted,
-    )
-
-    ring = segre.segre_ring(field_obj)
-    ambient = segre.segre_ideal(ring)
-    link = segre.segre_link(ring)
-
-    codim_link = _timed(report, "codim-link", link.codimension)
-    report.add("codim-link", codim_link, 6, asserted)
-    codim_ambient = _timed(report, "codim-ambient", ambient.codimension)
-    report.add("codim-ambient", codim_ambient, 6, asserted)
-    report.add("codims-equal", codim_link == codim_ambient, True, asserted)
-
-    pair = _timed(report, "linkage-colon", lambda: build_linkage(ambient, link))
-    mu = _timed(report, "canonical-min-gens", lambda: minimal_generator_count(pair))
-    report.add("canonical-min-gens", mu, 1, asserted)
-    report.add("quasi-gorenstein", mu == 1, True, asserted)
-
-    report.summary = {
-        "codim_c": codim_link,
-        "codim_a": codim_ambient,
-        "codims_equal": codim_link == codim_ambient,
-        "mu_canonical": mu,
-        "quasi_gorenstein": mu == 1,
-    }
-    return report
+    """The Segre product R/yR itself: the induced link gives mu = 1."""
+    return _verify("verify-quotient", field)

@@ -22,18 +22,9 @@ def monomial_mul(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
-def monomial_lcm(a, b):
-    return tuple(x if x > y else y for x, y in zip(a, b))
-
-
 def monomial_divides(a, b):
     """True iff monomial a divides monomial b."""
     return all(x <= y for x, y in zip(a, b))
-
-
-def monomial_div(a, b):
-    """Quotient a / b; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
 
 
 def monomial_coprime(a, b):
@@ -183,9 +174,6 @@ class Polynomial:
 
     # -- basic queries -----------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -220,9 +208,6 @@ class Polynomial:
             return True
         degs = {self.ring.monomial_degree(m) for m, _ in self.terms}
         return len(degs) == 1
-
-    def as_dict(self):
-        return dict(self.terms)
 
     # -- arithmetic ---------------------------------------------------------
 

@@ -6,10 +6,12 @@ and finishes in a few minutes, dominated by the two full verification
 pipelines.
 """
 
+import json
 import random
 from contextlib import contextmanager
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +40,8 @@ from oracles import (
     membership_by_linear_algebra,
     random_polynomial,
 )
+
+REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
 D1 = parse_divisor("2*P(0) - 5/8*P(1) - 5/8*P(2) - 5/8*P(3)")
 D2 = parse_divisor(
@@ -73,7 +77,18 @@ def test_criterion_1_counterexample_over_q():
 
 def test_criterion_2_counterexample_over_f2():
     with criterion(2, "same flags over F2"):
-        check_full_pipeline(verify_counterexample("F2"))
+        report = verify_counterexample("F2")
+        check_full_pipeline(report)
+        # the report the benchmark checks, without the CLI's digest and the timings
+        payload = report.to_json_dict()
+        del payload["timings_ms"]
+        reference = json.loads(
+            (REFERENCE_DIR / "verify-counterexample-F2.json").read_text(encoding="utf-8")
+        )
+        del reference["inputs_digest"]
+        assert json.dumps(payload, indent=2, sort_keys=True) == json.dumps(
+            reference, indent=2, sort_keys=True
+        )
 
 
 def test_criterion_3_quotient_ring_is_quasi_gorenstein():

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from quasigor import cli
 from quasigor.reporting import VerificationReport
 from quasigor.segre import data_text
+
+REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
 D1 = "2*P(0) - 5/8*P(1) - 5/8*P(2) - 5/8*P(3)"
 D2 = (
@@ -108,6 +111,17 @@ def test_remaining_ideal_ops(capsys, small_ring, tmp_path):
     assert (code, out.strip()) == (0, "x^2 - y")
 
 
+def test_gb_of_zero_ideal(capsys, small_ring, tmp_path):
+    ring, _, _ = small_ring
+    zero = tmp_path / "zero.txt"
+    zero.write_text("0\n")
+    code, out, err = run(capsys, ["ideal", "gb", "--ring", str(ring), str(zero)])
+    assert (code, out, err) == (0, "\n", "")
+    code, out, _ = run(capsys, ["ideal", "gb", "--ring", str(ring), str(zero), "--json"])
+    assert code == 0
+    assert json.loads(out)["result"] == []
+
+
 def test_divisor_floor_and_h0(capsys):
     code, out, _ = run(capsys, ["divisor", "floor", D2, "--n", "3"])
     assert code == 0
@@ -149,6 +163,15 @@ def test_verify_quotient_json_validates(capsys, schema):
     assert payload["quasi_gorenstein"] is True
     assert payload["status"] == "pass"
     assert payload["timings_ms"] == {}  # deterministic by default
+
+
+def test_verify_quotient_f2_matches_reference(capsys):
+    code, out, _ = run(capsys, ["verify-quotient", "--field", "F2", "--json"])
+    assert code == 0
+    payload = json.loads(out)
+    del payload["timings_ms"]
+    reference = (REFERENCE_DIR / "verify-quotient-F2.json").read_text(encoding="utf-8")
+    assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == reference
 
 
 def test_verify_quotient_experimental_field(capsys, schema):
@@ -197,6 +220,13 @@ def test_exit_code_unsupported(capsys, tmp_path):
     code, _, err = run(capsys, ["ideal", "hilbert", "--ring", str(ring), str(ideal), "2"])
     assert code == 3
     assert "weight-0" in err
+
+
+def test_exit_code_bad_hilbert_degree(capsys, small_ring):
+    ring, ideal, _ = small_ring
+    code, out, err = run(capsys, ["ideal", "hilbert", "--ring", str(ring), str(ideal), "abc"])
+    assert (code, out) == (1, "")
+    assert err == "error: bad Hilbert degree 'abc', expected an integer\n"
 
 
 def test_exit_code_verification_failure(capsys, monkeypatch):

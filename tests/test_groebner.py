@@ -290,6 +290,15 @@ def test_ring_mismatch_rejected(rxy):
         normal_form(rxy.parse("x"), [other.parse("u")])
 
 
+def test_membership_rejects_polynomial_from_other_ring(rxy):
+    other = PolyRing(("a", "b", "c"))
+    x, _ = rxy.gens()
+    with pytest.raises(RingMismatchError):
+        ideal_membership(other.parse("a"), [x])
+    with pytest.raises(RingMismatchError):
+        ideal_membership(other.parse("a"), buchberger([x]))
+
+
 def test_f2_basis_runs():
     R = PolyRing(("x", "y"), PrimeField(2))
     gb = buchberger([R.parse("x^2+y"), R.parse("x*y+1")])

@@ -27,7 +27,7 @@ def test_self_link_of_principal_ideal(rxy):
     pair = build_linkage(I, I)
     assert pair.colon == Ideal(rxy, ["1"])
     assert minimal_generator_count(pair) == 1
-    assert is_quasi_gorenstein(I, I)
+    assert is_quasi_gorenstein(pair)
 
 
 def test_complete_intersection_self_links_randomized():
@@ -81,8 +81,8 @@ def test_unmixed_for_complete_intersection(rxy):
 def test_double_link_closure(rxy):
     ambient = Ideal(rxy, ["x^2", "x*y"])
     link = Ideal(rxy, ["x^2"])
-    once = unmixed_part(ambient, link)
-    twice = unmixed_part(once, link)
+    once = unmixed_part(build_linkage(ambient, link))
+    twice = unmixed_part(build_linkage(once, link))
     assert once == twice
 
 
