@@ -234,6 +234,8 @@ def _run_divisor(args) -> int:
             n_range = range(int(lo), int(hi) + 1)
         except ValueError:
             raise InputError(f"bad --range {args.n_range!r}, expected LO:HI") from None
+        if not n_range:
+            raise InputError(f"empty --range {args.n_range!r}, expected LO <= HI")
         result = dv.quasi_gorenstein_hilbert_check(_table(left), _table(right), args.a, n_range)
         text = _render(result) + "  (necessary condition at Hilbert-function level, not a proof)"
     else:  # pragma: no cover

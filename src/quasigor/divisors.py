@@ -30,7 +30,7 @@ from . import linalg
 from .errors import InputError, ParseError, UnsupportedRequestError
 from .fields import QQ
 from .parse import Token, _TokenStream, tokenize
-from .rings import Polynomial, PolyRing
+from .rings import Polynomial, PolyRing, monomials_of_degree
 
 #: Homogeneous coordinate ring of P^1 used for section numerators.
 P1_RING = PolyRing(("w", "z"), QQ)
@@ -248,7 +248,7 @@ def generator_degrees(divisor: QDivisor, degree_bound: int, ring: PolyRing = P1_
         target = _positive_floor(divisor, n)
         ambient_deg = sum(target.values())
         dim = len(space)
-        exponents = _generator_monomials(generators, n)
+        exponents = monomials_of_degree([d for d, _, _ in generators], n)
         rows = []
         for e in exponents:
             rows.append(
@@ -269,7 +269,7 @@ def generator_degrees(divisor: QDivisor, degree_bound: int, ring: PolyRing = P1_
                     current_rank += 1
                     generators.append((n, num, dict(target)))
             # products plus the new generators now span the whole level
-            exponents = _generator_monomials(generators, n)
+            exponents = monomials_of_degree([d for d, _, _ in generators], n)
             rows = [
                 _form_coefficients(_product_numerator(generators, e, target, ring), ambient_deg, field)
                 for e in exponents
@@ -298,26 +298,6 @@ def generator_degrees(divisor: QDivisor, degree_bound: int, ring: PolyRing = P1_
     return gen_degrees, rel_degrees
 
 
-def _generator_monomials(generators, total: int):
-    """Exponent tuples over the current generators with weighted degree
-    ``total``, in a fixed deterministic order."""
-    degs = [d for d, _, _ in generators]
-    out = []
-
-    def rec(i, remaining, prefix):
-        if remaining == 0:
-            out.append(tuple(prefix + [0] * (len(degs) - i)))
-            return
-        if i == len(degs):
-            return
-        d = degs[i]
-        for e in range(remaining // d + 1):
-            rec(i + 1, remaining - d * e, prefix + [e])
-
-    rec(0, total, [])
-    return out
-
-
 def _product_numerator(generators, exponents, target, ring: PolyRing) -> Polynomial:
     """Numerator of a product of generator sections over the canonical
     denominator of the target level."""
@@ -343,7 +323,7 @@ def _lift_relations(relations, generators, n, index, field):
     monomials."""
     lifted = []
     for degree, vec, exponents in relations:
-        for shift in _generator_monomials(generators, n - degree):
+        for shift in monomials_of_degree([d for d, _, _ in generators], n - degree):
             row = [field.zero] * len(index)
             for e, coeff in zip(exponents, vec):
                 if coeff:

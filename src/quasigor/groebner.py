@@ -7,8 +7,12 @@ criterion and the chain criterion while updating the pair set
 (Gebauer-Moeller style pruning), selects pairs by the normal strategy
 (minimal weighted degree of the lcm, ties broken by the monomial order on
 the lcm, then by pair indices), and finishes with full interreduction and
-monic normalization.  The output is the reduced Groebner basis, which is
-unique for a given ideal and order, hence independent of the order in
+monic normalization.  One routine interreduces both the seed generators
+and the final basis: each element is reduced against all the others, in
+list order, and passes repeat until one moves no leading monomial.  The
+final elements already have pairwise non-dividing leading monomials, so
+there one pass suffices.  The output is the reduced Groebner basis, which
+is unique for a given ideal and order, hence independent of the order in
 which generators are supplied.
 
 Inside the engine a monomial is one Python int (packed exponent vectors,
@@ -446,31 +450,36 @@ def _complete(engine, gens, trace) -> GroebnerBasis:
     if trace:
         trace(f"{n_zero} pairs reduced to zero")
 
-    final = _reduce_final(engine, [records[k][3] for k in current])
+    final = _interreduce(engine, sorted((records[k][3] for k in current), key=lambda t: t[0][0]))
     polys = [Polynomial(work, engine.unpack_terms(terms)) for terms in final]
     return GroebnerBasis(work, work.order, polys)
 
 
-def _interreduce(engine, seed):
-    """Reduce each element against the others until nothing changes."""
-    current = list(seed)
+def _interreduce(engine, elements):
+    """Reduce each element against all the others, in list order, earlier
+    ones already reduced, and drop zeros; repeat until a pass moves no
+    leading monomial.  After such a pass every element is reduced against
+    every other element's leading monomial, so a further pass would change
+    nothing."""
+    current = list(elements)
     while True:
-        changed = False
-        nxt = []
-        for i, terms in enumerate(current):
-            others = nxt + current[i + 1 :]
-            if others:
-                reducers = [(t[0][0], t[1:]) for t in others]
-                reduced = engine.normal_form_terms(terms, reducers)
-            else:
-                reduced = terms
-            if reduced != terms:
-                changed = True
-            if reduced:
-                nxt.append(engine.make_monic(reduced))
-        current = nxt
-        if not changed:
-            return current
+        moved = False
+        done = []
+        done_reducers = []
+        waiting = [(t[0][0], t[1:]) for t in current]
+        for terms in current:
+            del waiting[0]  # superseded by its reduced form, which joins done_reducers
+            reduced = engine.normal_form_terms(terms, done_reducers + waiting)
+            if not reduced:
+                continue
+            if reduced[0][0] != terms[0][0]:
+                moved = True
+            reduced = engine.make_monic(reduced)
+            done.append(reduced)
+            done_reducers.append((reduced[0][0], reduced[1:]))
+        if not moved:
+            return done
+        current = done
 
 
 def _update_pairs(engine, records, current, pairs, new_idx):
@@ -512,29 +521,6 @@ def _update_pairs(engine, records, current, pairs, new_idx):
     new_current = [idx for idx in current if (records[idx][1] - e_new) & guard]
     new_current.append(new_idx)
     return new_current, kept
-
-
-def _reduce_final(engine, elements):
-    """Minimize, then tail-reduce every element against all the others;
-    the result ascends by leading monomial.  The minimal elements form a
-    Groebner basis, so the reducer order does not change any tail.
-    """
-    elements = sorted(elements, key=lambda terms: terms[0][0])
-    guard = engine.guard
-    lms = [terms[0][0] for terms in elements]
-    minimal = [
-        terms
-        for i, terms in enumerate(elements)
-        if not any(j != i and not (lms[i] - lm) & guard for j, lm in enumerate(lms))
-    ]
-    everyone = [(t[0][0], t[1:]) for t in minimal]
-    reduced = []
-    for i, terms in enumerate(minimal):
-        others = everyone[:i] + everyone[i + 1 :]
-        if others:
-            terms = engine.make_monic(engine.normal_form_terms(terms, others))
-        reduced.append(terms)
-    return reduced
 
 
 def ideal_membership(f: Polynomial, basis) -> bool:

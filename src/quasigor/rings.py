@@ -10,9 +10,9 @@ floating point anywhere in this package.
 
 from __future__ import annotations
 
-from .errors import InputError, RingMismatchError
+from .errors import InputError, RingMismatchError, UnsupportedRequestError
 from .fields import QQ, PrimeField, RationalField
-from .orders import GrevlexOrder
+from .orders import GrevlexOrder, LexOrder
 
 
 # ---------------------------------------------------------------------------
@@ -29,6 +29,24 @@ def monomial_divides(a, b):
 
 def monomial_coprime(a, b):
     return all(x == 0 or y == 0 for x, y in zip(a, b))
+
+
+def monomials_of_degree(weights, n: int):
+    """All exponent tuples of weighted degree exactly n over positive
+    weights, in ascending lexicographic order."""
+    k = len(weights)
+    out = []
+
+    def rec(i, remaining, prefix):
+        if remaining == 0:
+            out.append(prefix + (0,) * (k - i))
+        elif i < k:
+            w = weights[i]
+            for e in range(remaining // w + 1):
+                rec(i + 1, remaining - w * e, prefix + (e,))
+
+    rec(0, n, ())
+    return out
 
 
 class PolyRing:
@@ -121,10 +139,18 @@ class PolyRing:
 
         The prefix contains '#', which the parser rejects in identifiers, so
         fresh names can never collide with user variables.  The extension
-        keeps the original variables in their positions.
+        keeps the original variables in their positions, and its order is
+        the ring's grevlex or lex order extended to the fresh variables, so
+        the two orders agree on monomials free of them.
         """
         fresh = tuple(f"{prefix}{i}" for i in range(count))
-        return PolyRing(self.names + fresh, self.field, self.weights + (1,) * count)
+        if isinstance(self.order, GrevlexOrder):
+            order = GrevlexOrder(self.order.weights + (1,) * count)
+        elif isinstance(self.order, LexOrder):
+            order = LexOrder(self.nvars + count)
+        else:
+            raise UnsupportedRequestError("elimination over block-ordered rings is not supported")
+        return PolyRing(self.names + fresh, self.field, self.weights + (1,) * count, order)
 
     def describe(self) -> str:
         field = "Q" if isinstance(self.field, RationalField) else f"F{self.field.p}"

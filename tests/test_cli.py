@@ -229,6 +229,16 @@ def test_exit_code_bad_hilbert_degree(capsys, small_ring):
     assert err == "error: bad Hilbert degree 'abc', expected an integer\n"
 
 
+def test_exit_code_empty_segre_range(capsys):
+    argv = ["divisor", "segre-qg", "elliptic", "elliptic", "--a", "0", "--range"]
+    code, out, err = run(capsys, argv + ["5:1"])
+    assert (code, out) == (1, "")
+    assert err == "error: empty --range '5:1', expected LO <= HI\n"
+    code, out, _ = run(capsys, argv + ["3:3"])
+    assert code == 0
+    assert out.startswith("true")
+
+
 def test_exit_code_verification_failure(capsys, monkeypatch):
     broken = VerificationReport(command="verify-quotient", field_label="Q")
     broken.add("canonical-min-gens", 2, 1, asserted=True)

@@ -3,7 +3,7 @@
 import pytest
 
 from quasigor.divisors import parse_divisor
-from quasigor.errors import InputError
+from quasigor.errors import InputError, RingMismatchError
 from quasigor.groebner import buchberger
 from quasigor.ideals import Ideal
 from quasigor.rings import PolyRing
@@ -27,6 +27,13 @@ def test_zero_ideal_basics(rxy):
     assert zero.dimension() == 2
     assert not zero.contains(rxy.parse("x"))
     assert zero.contains(rxy.zero())
+
+
+def test_zero_ideal_rejects_polynomial_from_other_ring(rxy):
+    f = PolyRing(("x", "y", "z")).parse("x")
+    for ideal in (Ideal(rxy, []), Ideal(rxy, ["x"])):
+        with pytest.raises(RingMismatchError):
+            ideal.contains(f)
 
 
 def test_intersect_with_zero_ideal(rxy):

@@ -114,6 +114,7 @@ def test_reduced_basis_properties_randomized():
     # The checks work on exponent tuples, independent of the engine's packed
     # monomials; the cases cover every order kind and all three field kinds.
     rng = random.Random(31)
+    shuffler = random.Random(37)  # kept apart so the cases stay the same
     xyz = PolyRing(("x", "y", "z"))
     weighted = PolyRing(("x", "y", "z"), weights=(1, 2, 0))
     cases = [
@@ -133,6 +134,8 @@ def test_reduced_basis_properties_randomized():
                 continue
             gb = buchberger(gens, order=order)
             assert gb.ring.order == (order or ring.order)
+            shuffled = shuffler.sample(gens, len(gens))
+            assert buchberger(shuffled, order=order).polys == gb.polys
             for g in gens:
                 assert gb.contains(gb.ring.polynomial(dict(g.terms)))
             assert_spoly_closure(gb)
@@ -196,6 +199,26 @@ def test_widening_does_not_repeat_trace_lines(monkeypatch):
         "pair (1,3) lcm=y*x^250",
         "  -> new element g5: lm=x^751",
         "pair (4,5) lcm=x^1002",
+        "  -> reduced to 0",
+        "2 pairs reduced to zero",
+    ]
+
+
+def test_seed_interreduction_over_several_passes():
+    # The seed interreduction moves a leading monomial in two passes
+    # (x^2*y -> y^2*z -> y*z^2); its output order fixes the pair indices.
+    R = PolyRing(("x", "y", "z"))
+    lines = []
+    gb = buchberger([R.parse("x - y"), R.parse("x^2 + y*z"), R.parse("x^2*y - z")], trace=lines.append)
+    assert gb_strings(gb) == ["x - y", "y*z + z^2", "y^2 - z^2", "z^3 + z"]
+    assert lines == [
+        "pair (0,1) lcm=y^2*z^2",
+        "  -> new element g3: lm=y*z",
+        "pair (0,3) lcm=y*z^2",
+        "  -> new element g4: lm=z^3",
+        "pair (1,3) lcm=y^2*z",
+        "  -> reduced to 0",
+        "pair (3,4) lcm=y*z^3",
         "  -> reduced to 0",
         "2 pairs reduced to zero",
     ]

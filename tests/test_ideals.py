@@ -5,6 +5,7 @@ import pytest
 from quasigor.errors import InputError, RingMismatchError, UnsupportedRequestError
 from quasigor.fields import PrimeField
 from quasigor.ideals import Ideal, exact_quotient
+from quasigor.orders import LexOrder, elimination_order
 from quasigor.parse import parse_ring
 from quasigor.rings import PolyRing
 
@@ -49,16 +50,27 @@ def test_intersection_examples(rxy):
 
 def test_intersection_randomized_containment(rxyz):
     rng = random.Random(43)
-    for _ in range(10):
-        I = Ideal(rxyz, [random_polynomial(rxyz, rng) for _ in range(2)])
-        J = Ideal(rxyz, [random_polynomial(rxyz, rng) for _ in range(2)])
-        if I.is_zero_ideal() or J.is_zero_ideal():
-            continue
-        meet = I.intersect(J)
-        for g in meet.generators:
-            assert I.contains(g) and J.contains(g)
-        for g in (I + J).generators:
-            assert (I + J).contains(g)
+    lex = PolyRing(rxyz.names, order=LexOrder(3))
+    weighted = PolyRing(rxyz.names, weights=(1, 0, 2))
+    # binomials on the lex and weight-0 rings: the lex elimination of
+    # random trinomial pairs can take minutes under normal pair selection
+    for ring, terms in ((rxyz, 4), (lex, 2), (weighted, 2)):
+        for _ in range(10):
+            I = Ideal(ring, [random_polynomial(ring, rng, 3, terms) for _ in range(2)])
+            J = Ideal(ring, [random_polynomial(ring, rng, 3, terms) for _ in range(2)])
+            if I.is_zero_ideal() or J.is_zero_ideal():
+                continue
+            meet = I.intersect(J)
+            for g in meet.generators:
+                assert I.contains(g) and J.contains(g)
+            for g in (I + J).generators:
+                assert (I + J).contains(g)
+
+
+def test_intersect_refuses_block_ordered_ring():
+    ring = PolyRing(("x", "y", "z"), order=elimination_order(3, [0], LexOrder(3)))
+    with pytest.raises(UnsupportedRequestError):
+        Ideal(ring, ["x*y"]).intersect(Ideal(ring, ["y*z"]))
 
 
 def test_colon_examples(rxy):
