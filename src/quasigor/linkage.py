@@ -9,12 +9,17 @@ c0 + M*d and take the exact rank of the resulting normal forms over the
 coefficient field.  mu equals 1 exactly when the module is cyclic, which
 together with unmixedness (checked through the liaison identity
 c0 : (c0 : a) = unmixed part of a) is the quasi-Gorenstein certificate.
+That second colon divides by the generators of d whose normal forms are
+independent, together with c0, once reduced-basis equality certifies that
+they generate d; a weight-0 variable keeps local minimality at M from
+implying that, so without the certificate all of d's generators are used.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import linalg, segre
 from .errors import InputError, VerificationError
@@ -35,6 +40,11 @@ class LinkagePair:
     def ring(self):
         return self.ambient.ring
 
+    @cached_property
+    def presentation(self) -> "CanonicalModulePresentation":
+        """The Nakayama count of this pair, computed once."""
+        return present_canonical_module(self)
+
 
 @dataclass(frozen=True)
 class CanonicalModulePresentation:
@@ -44,6 +54,7 @@ class CanonicalModulePresentation:
     pair: LinkagePair
     generator_images: tuple
     min_generators: int
+    independent: tuple  # colon generators whose images are a k-basis of all images
 
     @property
     def is_cyclic(self) -> bool:
@@ -94,25 +105,29 @@ def present_canonical_module(pair: LinkagePair) -> CanonicalModulePresentation:
     irrelevant = Ideal(ring, ring.gens())
     cone = pair.link + (irrelevant * pair.colon)
     basis = cone.groebner_basis()
-    images = tuple(basis.normal_form(g) for g in pair.colon.generators if g)
+    generators = [g for g in pair.colon.generators if g]
+    images = tuple(basis.normal_form(g) for g in generators)
     monomials = sorted(
         {m for nf in images for m, _ in nf.terms}, key=ring.order.key
     )
-    column = {m: i for i, m in enumerate(monomials)}
-    rows = []
-    for nf in images:
-        if not nf:
-            continue
-        row = [field.zero] * len(monomials)
+    # one row per monomial and one column per image: the pivot columns pick
+    # the first images that are independent, and their number is the rank
+    row_of = {m: i for i, m in enumerate(monomials)}
+    matrix = [[field.zero] * len(images) for _ in monomials]
+    for j, nf in enumerate(images):
         for m, c in nf.terms:
-            row[column[m]] = c
-        rows.append(row)
-    mu = linalg.rank(rows, field) if rows else 0
-    return CanonicalModulePresentation(pair=pair, generator_images=images, min_generators=mu)
+            matrix[row_of[m]][j] = c
+    pivots = linalg.row_reduce(matrix, field)[1]
+    return CanonicalModulePresentation(
+        pair=pair,
+        generator_images=images,
+        min_generators=len(pivots),
+        independent=tuple(generators[j] for j in pivots),
+    )
 
 
 def minimal_generator_count(pair: LinkagePair) -> int:
-    return present_canonical_module(pair).min_generators
+    return pair.presentation.min_generators
 
 
 def is_quasi_gorenstein(pair: LinkagePair) -> bool:
@@ -126,8 +141,15 @@ def is_quasi_gorenstein(pair: LinkagePair) -> bool:
 
 def unmixed_part(pair: LinkagePair) -> Ideal:
     """link : (link : ambient), the intersection of the top-dimensional
-    primary components of the ambient ideal."""
-    return pair.link.colon(pair.colon)
+    primary components of the ambient ideal.
+
+    The divisor is link + the Nakayama-independent colon generators when
+    that ideal has the same reduced basis as the colon, else the colon.
+    """
+    divisor = Ideal(pair.ring, pair.link.generators + pair.presentation.independent)
+    if divisor != pair.colon:
+        divisor = pair.colon
+    return pair.link.colon(divisor)
 
 
 def is_unmixed(pair: LinkagePair) -> bool:

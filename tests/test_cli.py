@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -8,7 +11,8 @@ from quasigor import cli
 from quasigor.reporting import VerificationReport
 from quasigor.segre import data_text
 
-REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+ROOT = Path(__file__).resolve().parents[1]
+REFERENCE_DIR = ROOT / "perfbench" / "reference"
 
 D1 = "2*P(0) - 5/8*P(1) - 5/8*P(2) - 5/8*P(3)"
 D2 = (
@@ -172,6 +176,17 @@ def test_verify_quotient_f2_matches_reference(capsys):
     del payload["timings_ms"]
     reference = (REFERENCE_DIR / "verify-quotient-F2.json").read_text(encoding="utf-8")
     assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == reference
+
+
+def test_python_dash_m_from_a_checkout():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "quasigor", "--help"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "verify-counterexample" in done.stdout
 
 
 def test_verify_quotient_experimental_field(capsys, schema):

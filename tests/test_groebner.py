@@ -246,7 +246,7 @@ def test_work_counters_on_the_quotient_ring(monkeypatch):
 
     monkeypatch.setattr(ideals, "buchberger", counting)
     verify_quotient_ring("F2")
-    assert counts == dict(calls=46, pairs=3605, zero=3294, new=311, basis=874)
+    assert counts == dict(calls=46, pairs=2860, zero=2491, new=369, basis=804)
 
 
 def test_membership_examples(rxy):

@@ -48,13 +48,19 @@ def test_intersection_examples(rxy):
     assert Ideal(rxy, ["x^2"]).intersect(I) == Ideal(rxy, ["x^2"])
 
 
-def test_intersection_randomized_containment(rxyz):
-    rng = random.Random(43)
+def _random_rings(rxyz):
+    """(ring, terms per random generator) on grevlex, lex and a weight-0
+    grevlex ring over the variables of rxyz."""
     lex = PolyRing(rxyz.names, order=LexOrder(3))
     weighted = PolyRing(rxyz.names, weights=(1, 0, 2))
     # binomials on the lex and weight-0 rings: the lex elimination of
     # random trinomial pairs can take minutes under normal pair selection
-    for ring, terms in ((rxyz, 4), (lex, 2), (weighted, 2)):
+    return ((rxyz, 4), (lex, 2), (weighted, 2))
+
+
+def test_intersection_randomized_containment(rxyz):
+    rng = random.Random(43)
+    for ring, terms in _random_rings(rxyz):
         for _ in range(10):
             I = Ideal(ring, [random_polynomial(ring, rng, 3, terms) for _ in range(2)])
             J = Ideal(ring, [random_polynomial(ring, rng, 3, terms) for _ in range(2)])
@@ -97,6 +103,30 @@ def test_colon_membership_property_randomized(rxyz):
         for f in quotient.generators:
             for g in J.generators:
                 assert I.contains(f * g)
+
+
+def test_colon_is_intersection_of_principal_colons_randomized(rxyz):
+    # five divisor generators: the balanced tree ((f0 & f1) & (f2 & f3)) & f4
+    # and the left fold take different operands, and f4 waits a level
+    rng = random.Random(71)
+    for ring, terms in _random_rings(rxyz):
+        for _ in range(10):
+            I = Ideal(ring, [random_polynomial(ring, rng, 3, terms) for _ in range(2)])
+            J = Ideal(ring, [random_polynomial(ring, rng, 3, terms) for _ in range(5)])
+            if I.is_zero_ideal() or J.is_zero_ideal():
+                continue
+            quotient = I.colon(J)
+            fold = None
+            for g in J.generators:
+                if g:
+                    factor = I.colon(Ideal(ring, [g]))
+                    fold = factor if fold is None else fold.intersect(factor)
+            assert quotient == fold
+            for f in I.generators:
+                assert quotient.contains(f)
+            for f in quotient.generators:
+                for g in J.generators:
+                    assert I.contains(f * g)
 
 
 def test_eliminate_examples(rxyz):

@@ -137,6 +137,38 @@ def test_presentation_object(rxy):
     assert pres.min_generators == 1
     assert pres.is_cyclic
     assert len(pres.generator_images) == len(pres.pair.colon.generators)
+    assert len(pres.independent) == pres.min_generators
+
+
+def test_unmixed_part_falls_back_when_selection_misses_colon():
+    # Y has weight 0, so 1 + Y is a unit locally at M but not globally: both
+    # colon generators vanish modulo link + M*colon (mu = 0), yet the link
+    # alone does not generate the colon (x)
+    ring = PolyRing(("x", "Y"), weights=(1, 0))
+    link = Ideal(ring, ["x^2", "x*(1+Y)"])
+    ambient = Ideal(ring, ["x", "Y + 1"])
+    colon = Ideal(ring, ["x*(1+Y)", "x*Y"])
+    assert link.colon(ambient) == colon
+    pair = LinkagePair(ambient=ambient, link=link, colon=colon, codim=1)
+    assert minimal_generator_count(pair) == 0
+    assert pair.presentation.independent == ()
+    assert link != colon
+    assert unmixed_part(pair) == Ideal(ring, ["x", "Y + 1"])
+    assert link.colon(link) == Ideal(ring, ["1"])  # what skipping the check gives
+
+
+def test_quotient_ring_pair_over_f2():
+    # the colon of the verify-quotient pipeline: d*a inside c and c inside d
+    from quasigor.segre import segre_ideal, segre_link, segre_ring
+
+    ring = segre_ring("F2")
+    pair = build_linkage(segre_ideal(ring), segre_link(ring))
+    link_basis = pair.link.groebner_basis()
+    for f in pair.colon.generators:
+        for g in pair.ambient.generators:
+            assert link_basis.contains(f * g)
+    for g in pair.link.generators:
+        assert pair.colon.contains(g)
 
 
 def test_select_complete_intersection_small(rxy):
