@@ -244,7 +244,10 @@ def _run_divisor(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
+        return EXIT_OK if exc.code == 0 else EXIT_INPUT
     try:
         if args.command in ("verify-counterexample", "verify-quotient"):
             return _run_verification(args)

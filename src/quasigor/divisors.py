@@ -7,10 +7,14 @@ divisor E of degree d on P^1, h0 = max(0, d+1) and h1 = max(0, -d-1)
 (Riemann-Roch with genus 0; Serre duality pairs E with -E-2*point).
 
 Section spaces of O(floor(n*D)) are realized explicitly as numerator
-forms over the denominator prod ell_j^{c_j} built from the positive floor
-coefficients; products of sections then live over a common denominator,
-so generator and relation degrees of the section ring come out of exact
-linear algebra on numerator coefficients.
+forms in k[w,z] = P1_RING over the denominator prod ell_j^{c_j} built
+from the positive floor coefficients.  A product of sections moves onto
+the denominator of its level by multiplying in the primes where the
+factors' floors fall short of the level's (floors are superadditive), so
+generator and relation degrees of the section ring come out of exact
+linear algebra on numerator coefficients: ``linalg.independent`` picks
+the sections outside the span of the products and the relations outside
+the span of the lifted earlier ones.
 
 A second, fixed cohomology table covers the degree-3 polarization of an
 elliptic curve (h0 = 1, 3n for n = 0, n >= 1; h1(n) = h0(-n)); this is a
@@ -175,23 +179,15 @@ class SectionSpace:
         return len(self.numerators)
 
 
-def _denominator(floor_div: QDivisor, ring: PolyRing) -> Polynomial:
-    den = ring.one()
-    for p, c in floor_div.coefficients.items():
-        if c > 0:
-            den = den * p.prime_form(ring) ** int(c)
-    return den
+def _prime_product(form: Polynomial, powers) -> Polynomial:
+    """``form`` times ell_p^e for each (point p, exponent e) with e > 0."""
+    for p, e in powers:
+        if e > 0:
+            form = form * p.prime_form() ** int(e)
+    return form
 
 
-def _forced_factor(floor_div: QDivisor, ring: PolyRing) -> Polynomial:
-    forced = ring.one()
-    for p, c in floor_div.coefficients.items():
-        if c < 0:
-            forced = forced * p.prime_form(ring) ** int(-c)
-    return forced
-
-
-def section_basis(divisor: QDivisor, n: int, ring: PolyRing = P1_RING) -> SectionSpace:
+def section_basis(divisor: QDivisor, n: int) -> SectionSpace:
     """Explicit basis of the level-n piece of the section ring of D.
 
     Numerators are the forced vanishing factor (primes with negative floor
@@ -202,95 +198,70 @@ def section_basis(divisor: QDivisor, n: int, ring: PolyRing = P1_RING) -> Sectio
     if n < 0:
         raise InputError("section spaces are indexed by n >= 0")
     floored = divisor.floor_multiple(n)
-    den = _denominator(floored, ring)
+    one = P1_RING.one()
+    den = _prime_product(one, floored.coefficients.items())
     deg = int(floored.degree())
     if deg < 0:
         return SectionSpace(n, floored, den, ())
-    forced = _forced_factor(floored, ring)
-    w, z = ring.gens()
+    forced = _prime_product(one, ((p, -c) for p, c in floored.coefficients.items()))
+    w, z = P1_RING.gens()
     numerators = tuple(forced * w ** (deg - i) * z**i for i in range(deg + 1))
     return SectionSpace(n, floored, den, numerators)
-
-
-def _form_coefficients(f: Polynomial, degree: int, field):
-    """Coefficient vector of a form of the given degree in k[w,z]
-    (coordinates ordered w^degree, w^(degree-1) z, ..., z^degree)."""
-    row = [field.zero] * (degree + 1)
-    for (ew, ez), c in f.terms:
-        if ew + ez != degree:
-            raise InputError("not homogeneous of the expected degree")
-        row[ez] = c
-    return row
 
 
 def _positive_floor(divisor: QDivisor, n: int):
     return {p: max(int(c), 0) for p, c in divisor.floor_multiple(n).coefficients.items()}
 
 
-def generator_degrees(divisor: QDivisor, degree_bound: int, ring: PolyRing = P1_RING):
+def generator_degrees(divisor: QDivisor, degree_bound: int):
     """Scan levels 1..degree_bound for new algebra generators of the section
     ring and for minimal relations among them.
 
     Returns (generator degree multiset, relation degree multiset) as sorted
-    tuples.  New generators at level n are the sections not spanned by
-    products of earlier generators; relation counts subtract the lifts of
-    relations already found, all by exact rank computations.
+    tuples.  At level n, the products of earlier generators and the section
+    numerators become coefficient vectors over one monomial support; the
+    sections independent of the products are the new generators, and the
+    kernel vectors independent of the lifted earlier relations are the new
+    relations.  Two rank gates skip both selections on the levels where
+    they would find nothing.
     """
     if degree_bound < 1:
         raise InputError("degree bound must be at least 1")
-    field = ring.field
+    field = P1_RING.field
     generators = []  # (degree, numerator form, positive floor exponents)
     relations = []  # (degree, coefficient vector, exponent list at that degree)
-    found_any = False
 
     for n in range(1, degree_bound + 1):
-        space = section_basis(divisor, n, ring)
+        space = section_basis(divisor, n)
         target = _positive_floor(divisor, n)
-        ambient_deg = sum(target.values())
-        dim = len(space)
         exponents = monomials_of_degree([d for d, _, _ in generators], n)
-        rows = []
-        for e in exponents:
-            rows.append(
-                _form_coefficients(_product_numerator(generators, e, target, ring), ambient_deg, field)
-            )
-        product_rank = linalg.rank(rows, field) if rows else 0
+        products = [_product_numerator(generators, e, target) for e in exponents]
+        vectors = linalg.coefficient_vectors(products + list(space.numerators), field)
+        rows, candidates = vectors[: len(products)], vectors[len(products) :]
+        level_rank = linalg.rank(rows, field) if rows else 0
+        if len(space) > level_rank:
+            picked = [i - len(rows) for i in linalg.independent(rows + candidates, field)
+                      if i >= len(rows)]
+            # a degree-n generator's only degree-n product is itself
+            width = len(generators) + len(picked)
+            exponents = [e + (0,) * len(picked) for e in exponents]
+            for i in picked:
+                exponents.append(tuple(int(k == len(generators)) for k in range(width)))
+                generators.append((n, space.numerators[i], dict(target)))
+                rows.append(candidates[i])
+            level_rank += len(picked)
 
-        if dim:
-            found_any = True
-        new_count = dim - product_rank
-        if new_count > 0:
-            span = list(rows)
-            current_rank = product_rank
-            for num in space.numerators:
-                candidate = _form_coefficients(num, ambient_deg, field)
-                if linalg.rank(span + [candidate], field) > current_rank:
-                    span.append(candidate)
-                    current_rank += 1
-                    generators.append((n, num, dict(target)))
-            # products plus the new generators now span the whole level
-            exponents = monomials_of_degree([d for d, _, _ in generators], n)
-            rows = [
-                _form_coefficients(_product_numerator(generators, e, target, ring), ambient_deg, field)
-                for e in exponents
-            ]
+        kernel_dim = len(exponents) - level_rank
+        if kernel_dim > 0:
+            index = {e: i for i, e in enumerate(exponents)}
+            lifted = _lift_relations(relations, generators, n, index, field)
+            if kernel_dim > (linalg.rank(lifted, field) if lifted else 0):
+                kernel = linalg.kernel_basis([list(col) for col in zip(*rows)], field)
+                for i in linalg.independent(lifted + kernel, field):
+                    if i >= len(lifted):
+                        relations.append((n, kernel[i - len(lifted)], exponents))
 
-        if exponents:
-            kernel_dim = len(exponents) - linalg.rank(rows, field)
-            if kernel_dim > 0:
-                index = {e: i for i, e in enumerate(exponents)}
-                lifted = _lift_relations(relations, generators, n, index, field)
-                lifted_rank = linalg.rank(lifted, field) if lifted else 0
-                new_relations = kernel_dim - lifted_rank
-                if new_relations > 0:
-                    columns = [list(col) for col in zip(*rows)] if rows else []
-                    for vec in linalg.kernel_basis(columns, field):
-                        if linalg.rank(lifted + [vec], field) > lifted_rank:
-                            lifted.append(vec)
-                            lifted_rank += 1
-                            relations.append((n, vec, exponents))
-
-    if not found_any:
+    if not generators:  # no level up to the bound has a section
         warnings.warn("degree bound too small to see any section", stacklevel=2)
         return (), ()
     gen_degrees = tuple(sorted(d for d, _, _ in generators))
@@ -298,24 +269,22 @@ def generator_degrees(divisor: QDivisor, degree_bound: int, ring: PolyRing = P1_
     return gen_degrees, rel_degrees
 
 
-def _product_numerator(generators, exponents, target, ring: PolyRing) -> Polynomial:
+def _product_numerator(generators, exponents, target) -> Polynomial:
     """Numerator of a product of generator sections over the canonical
-    denominator of the target level."""
+    denominator of the target level: the primes where the generators'
+    floors fall short of the target's multiply in."""
     used = {}
-    product = ring.one()
+    product = P1_RING.one()
     for (deg, num, floors), e in zip(generators, exponents):
         if not e:
             continue
         product = product * num**e
         for p, c in floors.items():
             used[p] = used.get(p, 0) + c * e
-    for p, c in target.items():
-        short = c - used.get(p, 0)
-        if short < 0:
-            raise AssertionError("floor superadditivity violated")
-        if short:
-            product = product * p.prime_form(ring) ** short
-    return product
+    short = [(p, c - used.get(p, 0)) for p, c in target.items()]
+    if any(e < 0 for _, e in short):
+        raise AssertionError("floor superadditivity violated")
+    return _prime_product(product, short)
 
 
 def _lift_relations(relations, generators, n, index, field):

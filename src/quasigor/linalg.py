@@ -4,6 +4,12 @@ Matrices are lists of rows of field scalars.  Everything is fraction-free
 only in the sense of being exact; no pivoting heuristics are needed
 because there is no rounding.  Sizes here stay small (tens of rows by a
 few hundred columns), so plain Gaussian elimination is the right tool.
+
+Polynomials enter as coefficient vectors over their joint monomial
+support, and ``independent`` is the one place that decides which of a
+list of vectors lie outside the span of the ones before them: the
+Nakayama count in ``linkage`` and the generator and relation search in
+``divisors`` both ask it.
 """
 
 from __future__ import annotations
@@ -69,3 +75,24 @@ def kernel_basis(rows, field):
             vec[pcol] = field.neg(rref[prow][free])
         basis.append(vec)
     return basis
+
+
+def coefficient_vectors(polys, field):
+    """Dense coefficient vectors of the polynomials, one coordinate per
+    monomial of their joint support."""
+    support = sorted({m for f in polys for m, _ in f.terms})
+    column = {m: i for i, m in enumerate(support)}
+    vectors = []
+    for f in polys:
+        row = [field.zero] * len(support)
+        for m, c in f.terms:
+            row[column[m]] = c
+        vectors.append(row)
+    return vectors
+
+
+def independent(vectors, field):
+    """Ascending indices of the vectors outside the span of the earlier
+    ones: the pivot columns of the matrix with the vectors as columns.
+    Their number is the rank."""
+    return row_reduce([list(col) for col in zip(*vectors)], field)[1]

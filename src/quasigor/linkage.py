@@ -107,22 +107,12 @@ def present_canonical_module(pair: LinkagePair) -> CanonicalModulePresentation:
     basis = cone.groebner_basis()
     generators = [g for g in pair.colon.generators if g]
     images = tuple(basis.normal_form(g) for g in generators)
-    monomials = sorted(
-        {m for nf in images for m, _ in nf.terms}, key=ring.order.key
-    )
-    # one row per monomial and one column per image: the pivot columns pick
-    # the first images that are independent, and their number is the rank
-    row_of = {m: i for i, m in enumerate(monomials)}
-    matrix = [[field.zero] * len(images) for _ in monomials]
-    for j, nf in enumerate(images):
-        for m, c in nf.terms:
-            matrix[row_of[m]][j] = c
-    pivots = linalg.row_reduce(matrix, field)[1]
+    picked = linalg.independent(linalg.coefficient_vectors(images, field), field)
     return CanonicalModulePresentation(
         pair=pair,
         generator_images=images,
-        min_generators=len(pivots),
-        independent=tuple(generators[j] for j in pivots),
+        min_generators=len(picked),
+        independent=tuple(generators[j] for j in picked),
     )
 
 

@@ -7,7 +7,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from quasigor import cli
+from quasigor import cli, linkage
+from quasigor.errors import InputError
 from quasigor.reporting import VerificationReport
 from quasigor.segre import data_text
 
@@ -252,6 +253,41 @@ def test_exit_code_empty_segre_range(capsys):
     code, out, _ = run(capsys, argv + ["3:3"])
     assert code == 0
     assert out.startswith("true")
+
+
+def test_usage_errors_exit_one(capsys):
+    for argv in ([], ["divisor", "nope", "P(0)"], ["divisor", "gens"]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, ""), argv
+        assert "usage:" in err
+    # an expression starting with '-' reads as an option unless it follows '--'
+    code, _, err = run(capsys, ["divisor", "gens", "-P(0)", "--bound", "3"])
+    assert code == 1
+    assert "usage:" in err
+    code, out, _ = run(capsys, ["divisor", "h0", "--n", "2", "--", "-P(0) + 3*P(1)"])
+    assert (code, out.strip()) == (0, "5")
+
+
+def test_exit_code_failing_step(capsys, monkeypatch):
+    def refuse(ambient, link):
+        raise InputError("no link today")
+
+    monkeypatch.setattr(linkage, "build_linkage", refuse)
+    code, out, err = run(capsys, ["verify-quotient", "--field", "F2"])
+    assert (code, out) == (2, "")
+    assert err == "error: step 'linkage-colon': no link today\n"
+
+
+def test_trace_and_timings_as_text(capsys):
+    code, out, err = run(
+        capsys, ["verify-quotient", "--field", "Fp:5", "--trace", "--timings"]
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert "  status: experimental, no assertions" in lines
+    assert any(line.startswith("  time: ") for line in lines)
+    for label in ("codim-link", "codim-ambient", "linkage-colon", "canonical-min-gens"):
+        assert label in err
 
 
 def test_exit_code_verification_failure(capsys, monkeypatch):

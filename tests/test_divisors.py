@@ -203,6 +203,56 @@ def test_generator_degrees_integral_positive_divisor():
     assert set(gens) == {1}
 
 
+def test_generator_degrees_with_fractional_positive_coefficients():
+    # positive fractional coefficients leave products short of the target
+    # floor at some point, so the short-prime correction runs; inf as well
+    assert generator_degrees(parse_divisor("1/2*P(0)"), 4) == ((1, 2), ())
+    assert generator_degrees(parse_divisor("1/2*inf"), 4) == ((1, 2), ())
+    assert generator_degrees(parse_divisor("1/2*P(0) + 1/2*P(1)"), 6) == ((1, 2, 2), (4,))
+    assert generator_degrees(parse_divisor("1/3*P(0) + 1/3*P(1) + 1/3*inf"), 8) == (
+        (1, 3, 3, 3),
+        (6, 6, 6),
+    )
+
+
+def hilbert_series_coefficients(gen_degrees, rel_degrees, bound):
+    """Coefficients of t^0..t^bound in prod(1 - t^r) / prod(1 - t^d)."""
+    coeffs = [1] + [0] * bound
+    for r in rel_degrees:
+        for n in range(bound, r - 1, -1):
+            coeffs[n] -= coeffs[n - r]
+    for d in gen_degrees:
+        for n in range(d, bound + 1):
+            coeffs[n] += coeffs[n - d]
+    return coeffs
+
+
+def random_fractional_divisor(rng):
+    """A divisor of degree in (0, 1] with a fractional positive coefficient."""
+    points = [CurvePoint.finite(i) for i in range(-2, 4)] + [CurvePoint.infinity()] * 2
+    while True:
+        chosen = set(rng.sample(points, rng.randint(1, 3)))
+        divisor = QDivisor({p: Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for p in chosen})
+        fractional = any(c > 0 and c.denominator > 1 for c in divisor.coefficients.values())
+        if fractional and 0 < divisor.degree() <= 1:
+            return divisor
+
+
+def test_generator_degrees_match_hilbert_series_randomized():
+    # a ring with at most one relation is a hypersurface, so its Hilbert
+    # series prod(1 - t^r) / prod(1 - t^d) must reproduce h0(floor(n*D))
+    rng = random.Random(89)
+    bound, checked = 10, 0
+    while checked < 40:
+        divisor = random_fractional_divisor(rng)
+        gens, rels = generator_degrees(divisor, bound)
+        if len(rels) > 1:
+            continue
+        checked += 1
+        expected = [h0(divisor.floor_multiple(n)) for n in range(bound + 1)]
+        assert hilbert_series_coefficients(gens, rels, bound) == expected, divisor
+
+
 def test_generator_degrees_warns_when_bound_too_small():
     with pytest.warns(UserWarning, match="bound too small"):
         gens, rels = generator_degrees(D2.scaled(Fraction(1, 100)), 1)

@@ -9,6 +9,9 @@ def test_prime_check():
     assert is_prime(2**31 - 1)
     assert not is_prime(1)
     assert not is_prime(561)  # Carmichael number
+    assert not is_prime(41 * 43)
+    assert not is_prime(3215031751)  # strong pseudoprime to bases 2, 3, 5 and 7
+    assert is_prime(65537)  # p - 1 = 2^16: Miller-Rabin squares until it reaches -1
 
 
 def test_rationals_are_exact():
