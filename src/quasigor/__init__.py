@@ -18,7 +18,7 @@ from .errors import (
     VerificationError,
 )
 from .fields import QQ, PrimeField, RationalField
-from .orders import BlockOrder, GrevlexOrder, LexOrder, elimination_order
+from .orders import GrevlexOrder, LexOrder, MatrixOrder, elimination_order
 from .rings import Polynomial, PolyRing
 from .parse import parse_generators, parse_polynomial, parse_ring
 from .groebner import (
@@ -65,7 +65,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "QQ",
-    "BlockOrder",
     "CanonicalModulePresentation",
     "CurvePoint",
     "EllipticCohomologyTable",
@@ -75,6 +74,7 @@ __all__ = [
     "InputError",
     "LexOrder",
     "LinkagePair",
+    "MatrixOrder",
     "P1CohomologyTable",
     "ParseError",
     "Polynomial",

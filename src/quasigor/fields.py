@@ -10,6 +10,7 @@ otherwise; both are exact and print identically.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import InputError
@@ -151,3 +152,21 @@ class PrimeField:
 
 
 QQ = RationalField()
+
+
+_FIELD_LABEL = re.compile(r"Q|F([0-9]+)|Fp:([0-9]+)")
+
+
+def parse_field(label):
+    """The field named by ``Q``, ``F<p>`` or ``Fp:<p>`` (ASCII digits only,
+    no sign or space)."""
+    m = _FIELD_LABEL.fullmatch(label) if isinstance(label, str) else None
+    if m is None:
+        raise InputError(f"bad field label {label!r} (expected Q, F<p> or Fp:<p>)")
+    digits = m.group(1) or m.group(2)
+    return PrimeField(int(digits)) if digits else QQ
+
+
+def field_label(field) -> str:
+    """``Q`` or ``F<p>``; parse_field reads it back."""
+    return "Q" if field == QQ else f"F{field.p}"

@@ -117,7 +117,7 @@ class Ideal:
         ring = self.ring
         if self.is_zero_ideal() or other.is_zero_ideal():
             return Ideal(ring, [])
-        ext = ring.extended(1)
+        ext = ring.extended()
         t = ext.variable(ext.names[-1])
         one = ext.one()
 

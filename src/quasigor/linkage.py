@@ -23,6 +23,7 @@ from functools import cached_property
 
 from . import linalg, segre
 from .errors import InputError, VerificationError
+from .fields import field_label
 from .ideals import Ideal
 from .reporting import VerificationReport
 
@@ -223,7 +224,7 @@ def _verify(command: str, field) -> VerificationReport:
     """
     make_ring, make_ambient, make_link, expected_mu, deformation = _PIPELINES[command]
     field_obj = segre.resolve_field(field)
-    label = segre.field_label(field_obj)
+    label = field_label(field_obj)
     asserted = label in ("Q", "F2")
     report = VerificationReport(command=command, field_label=label, experimental=not asserted)
 

@@ -1,11 +1,19 @@
 """Monomial orders given by integer matrices.
 
-Every order here is a matrix order: its key is the integer vector
-``matrix . m`` for an exponent tuple ``m``, and monomial comparison is
-tuple comparison on keys (bigger key, bigger monomial).  The key is
-computed from ``matrix`` and nothing else, so it is linear in the
-exponents by construction, which the packed monomials of the Groebner
-engine rely on.  All orders here are total and multiplicative.
+Every monomial order is a matrix order (Robbiano, "Term orderings on the
+polynomial ring", EUROCAL 1985), so one type represents them all: a
+``MatrixOrder`` is its rows and nothing else.  The key of an exponent
+tuple ``m`` is the integer vector ``matrix . m``, and monomial
+comparison is tuple comparison on keys (bigger key, bigger monomial).
+The key is linear in the exponents by construction, which the packed
+monomials of the Groebner engine rely on.  The rows must have full
+column rank (the order is total) and the first nonzero entry of every
+column must be positive (it is a well-order).
+
+Restriction, extension and elimination are column operations:
+``restricted_to`` keeps some columns, ``extended`` appends columns with
+a lex tie-break row each, and ``elimination_order`` stacks two
+restrictions.
 
 The graded reverse lexicographic order grades by the ring's weights.  A
 declared weight may be 0; such variables contribute a secondary degree
@@ -31,15 +39,23 @@ def _picker(positions):
     return itemgetter(*positions)
 
 
-class _MatrixOrder:
-    """Shared key evaluation: ``key(m) = matrix . m``.
+class MatrixOrder:
+    """The monomial order with key ``matrix . m``; ``name`` is a label.
 
     Rows are evaluated sparsely; consecutive rows with one nonzero entry
     (the tie-breaking rows of grevlex and lex) are gathered in one step.
+    Two orders are equal when their matrices are.
     """
 
-    def _set_matrix(self, rows):
-        self.matrix = tuple(tuple(row) for row in rows)
+    def __init__(self, name: str, rows):
+        self.name = name
+        self.matrix = tuple(tuple(int(c) for c in row) for row in rows)
+        self.nvars = len(self.matrix[0]) if self.matrix else 0
+        if any(len(row) != self.nvars for row in self.matrix):
+            raise InputError("order matrix rows must have equal length")
+        for column in zip(*self.matrix):
+            if next((c for c in column if c), 0) <= 0:
+                raise InputError("each order matrix column needs a positive first nonzero entry")
         steps = []
         for row in self.matrix:
             entries = [(i, c) for i, c in enumerate(row) if c]
@@ -61,115 +77,68 @@ class _MatrixOrder:
                 out.append(sum(map(mul, pick(m), coeffs)))
         return tuple(out)
 
+    def restricted_to(self, positions) -> "MatrixOrder":
+        """The order on the variables at ``positions``: those columns, with
+        the rows that become zero dropped."""
+        rows = ([row[i] for i in positions] for row in self.matrix)
+        return MatrixOrder(self.name, [row for row in rows if any(row)])
+
+    def extended(self, count: int) -> "MatrixOrder":
+        """The order on ``count`` more variables, appended: ties under this
+        order are broken lexicographically on the new ones, so the two
+        orders agree on monomials free of them."""
+        n = self.nvars + count
+        rows = [row + (0,) * count for row in self.matrix]
+        return MatrixOrder(self.name, rows + _unit_rows(n, range(self.nvars, n)))
+
+    def __eq__(self, other):
+        return isinstance(other, MatrixOrder) and self.matrix == other.matrix
+
+    def __hash__(self):
+        return hash(self.matrix)
+
+    def __repr__(self):
+        return f"MatrixOrder({self.name!r}, {self.matrix})"
+
 
 def _unit_rows(n, positions, sign=1):
     return [tuple(sign if j == i else 0 for j in range(n)) for i in positions]
 
 
-class GrevlexOrder(_MatrixOrder):
+def GrevlexOrder(weights) -> MatrixOrder:
     """Weighted graded reverse lexicographic order.
 
     Rows: the weights, the indicator of the weight-0 variables, then the
     negated unit vectors from the last variable to the first.
     """
-
-    name = "grevlex"
-
-    def __init__(self, weights):
-        self.weights = tuple(int(w) for w in weights)
-        if any(w < 0 for w in self.weights):
-            raise InputError("monomial order weights must be non-negative")
-        n = len(self.weights)
-        zero = tuple(int(w == 0) for w in self.weights)
-        self._set_matrix([self.weights, zero] + _unit_rows(n, reversed(range(n)), -1))
-
-    def restricted_to(self, positions):
-        return GrevlexOrder(tuple(self.weights[i] for i in positions))
-
-    def __eq__(self, other):
-        return isinstance(other, GrevlexOrder) and self.weights == other.weights
-
-    def __hash__(self):
-        return hash(("grevlex", self.weights))
-
-    def __repr__(self):
-        return f"GrevlexOrder(weights={self.weights})"
+    weights = tuple(int(w) for w in weights)
+    if any(w < 0 for w in weights):
+        raise InputError("monomial order weights must be non-negative")
+    n = len(weights)
+    zero = tuple(int(w == 0) for w in weights)
+    return MatrixOrder("grevlex", [weights, zero] + _unit_rows(n, reversed(range(n)), -1))
 
 
-class LexOrder(_MatrixOrder):
+def LexOrder(nvars: int) -> MatrixOrder:
     """Pure lexicographic order (first variable dominant); the identity
     matrix."""
-
-    name = "lex"
-
-    def __init__(self, nvars: int):
-        self.nvars = nvars
-        self._set_matrix(_unit_rows(nvars, range(nvars)))
-
-    def restricted_to(self, positions):
-        return LexOrder(len(positions))
-
-    def __eq__(self, other):
-        return isinstance(other, LexOrder) and self.nvars == other.nvars
-
-    def __hash__(self):
-        return hash(("lex", self.nvars))
-
-    def __repr__(self):
-        return f"LexOrder({self.nvars})"
+    return MatrixOrder("lex", _unit_rows(nvars, range(nvars)))
 
 
-class BlockOrder(_MatrixOrder):
-    """Elimination order: earlier blocks dominate, each block ordered by its
-    own sub-order on the block's variables.
+def elimination_order(nvars: int, eliminate_positions, base_order: MatrixOrder) -> MatrixOrder:
+    """Order making ``eliminate_positions`` dominant over the rest.
 
-    ``blocks`` is a sequence of ``(positions, suborder)`` pairs where
-    ``positions`` are variable indices into the full exponent tuple.  The
-    blocks must partition the variables.  The matrix stacks each
-    sub-order's rows, spread onto the block's positions.
+    The rows of ``base_order`` restricted to the eliminated variables come
+    first, then its rows restricted to the rest, so on polynomials free of
+    the eliminated variables the two orders agree.
     """
-
-    name = "block"
-
-    def __init__(self, blocks):
-        self.blocks = tuple((tuple(pos), sub) for pos, sub in blocks)
-        seen = [i for pos, _ in self.blocks for i in pos]
-        if len(seen) != len(set(seen)):
-            raise InputError("block order blocks must be disjoint")
-        n = max(seen, default=-1) + 1
-        rows = []
-        for positions, sub in self.blocks:
-            for sub_row in sub.matrix:
-                row = [0] * n
-                for i, c in zip(positions, sub_row):
-                    row[i] = c
-                rows.append(row)
-        self._set_matrix(rows)
-
-    def __eq__(self, other):
-        return isinstance(other, BlockOrder) and self.blocks == other.blocks
-
-    def __hash__(self):
-        return hash(("block", self.blocks))
-
-    def __repr__(self):
-        return f"BlockOrder({self.blocks!r})"
-
-
-def elimination_order(nvars: int, eliminate_positions, base_order):
-    """Block order making ``eliminate_positions`` dominant over the rest.
-
-    The remaining variables keep ``base_order`` restricted to them, so on
-    polynomials free of the eliminated variables the two orders agree.
-    """
-    elim = tuple(sorted(eliminate_positions))
-    if not elim:
+    elim = set(eliminate_positions)
+    rest = set(range(nvars)) - elim
+    if not elim or not rest:
         return base_order
-    rest = tuple(i for i in range(nvars) if i not in set(elim))
-    if not rest:
-        return base_order
-    if isinstance(base_order, BlockOrder):
-        raise InputError("nested block orders are not supported")
-    first = base_order.restricted_to(elim)
-    second = base_order.restricted_to(rest)
-    return BlockOrder([(elim, first), (rest, second)])
+    rows = [
+        [c if i in block else 0 for i, c in enumerate(row)]
+        for block in (elim, rest)
+        for row in base_order.matrix
+    ]
+    return MatrixOrder("block", [row for row in rows if any(row)])

@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 
 from .errors import InputError, ParseError
-from .fields import QQ, PrimeField
+from .fields import parse_field
 from .orders import GrevlexOrder, LexOrder
 from .rings import Polynomial, PolyRing
 
@@ -138,15 +138,10 @@ def parse_ring(text: str) -> PolyRing:
         stmt = stream.expect("ident", what="statement keyword")
         if stmt.value == "field":
             ftok = stream.expect("ident", what="field name (Q or F<p>)")
-            if ftok.value == "Q":
-                field = QQ
-            elif re.fullmatch(r"F\d+", ftok.value):
-                try:
-                    field = PrimeField(int(ftok.value[1:]))
-                except InputError as exc:
-                    raise ParseError(str(exc), ftok.line, ftok.column) from None
-            else:
-                raise ParseError(f"unknown field {ftok.value!r}", ftok.line, ftok.column)
+            try:
+                field = parse_field(ftok.value)
+            except InputError as exc:
+                raise ParseError(str(exc), ftok.line, ftok.column) from None
         elif stmt.value == "vars":
             while True:
                 for name in _expand_var_item(stream):

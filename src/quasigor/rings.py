@@ -10,9 +10,9 @@ floating point anywhere in this package.
 
 from __future__ import annotations
 
-from .errors import InputError, RingMismatchError, UnsupportedRequestError
-from .fields import QQ, PrimeField, RationalField
-from .orders import GrevlexOrder, LexOrder
+from .errors import InputError, RingMismatchError
+from .fields import QQ, PrimeField, RationalField, field_label
+from .orders import GrevlexOrder
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +73,10 @@ class PolyRing:
         if any(w < 0 for w in self.weights):
             raise InputError("weights must be non-negative")
         self.order = order if order is not None else GrevlexOrder(self.weights)
+        if self.order.nvars != len(names):
+            raise InputError(
+                f"the monomial order has {self.order.nvars} columns for {len(names)} variables"
+            )
         self._index = {n: i for i, n in enumerate(names)}
         self.nvars = len(names)
         self.zero_monomial = (0,) * self.nvars
@@ -134,30 +138,24 @@ class PolyRing:
     def with_order(self, order) -> "PolyRing":
         return PolyRing(self.names, self.field, self.weights, order)
 
-    def extended(self, count: int, prefix: str = "t#") -> "PolyRing":
-        """Append ``count`` fresh weight-1 variables named ``prefix0``, ...
+    def extended(self) -> "PolyRing":
+        """Append one fresh weight-1 variable named ``t#0``.
 
-        The prefix contains '#', which the parser rejects in identifiers, so
-        fresh names can never collide with user variables.  The extension
-        keeps the original variables in their positions, and its order is
-        the ring's grevlex or lex order extended to the fresh variables, so
-        the two orders agree on monomials free of them.
+        The name contains '#', which the parser rejects in identifiers, so
+        it can never collide with a user variable.  The extension keeps the
+        original variables in their positions, and its order is the ring's
+        order extended by one column (``MatrixOrder.extended``), so the two
+        orders agree on monomials free of the new variable.
         """
-        fresh = tuple(f"{prefix}{i}" for i in range(count))
-        if isinstance(self.order, GrevlexOrder):
-            order = GrevlexOrder(self.order.weights + (1,) * count)
-        elif isinstance(self.order, LexOrder):
-            order = LexOrder(self.nvars + count)
-        else:
-            raise UnsupportedRequestError("elimination over block-ordered rings is not supported")
-        return PolyRing(self.names + fresh, self.field, self.weights + (1,) * count, order)
+        return PolyRing(
+            self.names + ("t#0",), self.field, self.weights + (1,), self.order.extended(1)
+        )
 
     def describe(self) -> str:
-        field = "Q" if isinstance(self.field, RationalField) else f"F{self.field.p}"
-        parts = [f"field {field}", "vars " + ",".join(self.names)]
+        parts = [f"field {field_label(self.field)}", "vars " + ",".join(self.names)]
         if any(w != 1 for w in self.weights):
             parts.append("weights " + ",".join(str(w) for w in self.weights))
-        if not (isinstance(self.order, GrevlexOrder) and self.order.weights == self.weights):
+        if self.order != GrevlexOrder(self.weights):
             parts.append(f"order {self.order.name}")
         return "; ".join(parts)
 

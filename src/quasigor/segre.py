@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from importlib import resources
 
-from .errors import InputError
-from .fields import QQ, PrimeField
+from .fields import QQ, PrimeField, RationalField, parse_field
 from .ideals import Ideal
 from .parse import parse_generators, parse_ring
 from .rings import PolyRing
@@ -26,24 +25,10 @@ def data_text(name: str) -> str:
 
 
 def resolve_field(spec):
-    """Accepts a field object or one of the labels Q, F2, Fp:<p>."""
-    if isinstance(spec, (PrimeField,)) or spec is QQ or hasattr(spec, "characteristic"):
+    """Accepts a field object or one of the labels Q, F<p>, Fp:<p>."""
+    if isinstance(spec, (RationalField, PrimeField)):
         return spec
-    if isinstance(spec, str):
-        if spec == "Q":
-            return QQ
-        if spec.startswith("Fp:"):
-            try:
-                return PrimeField(int(spec[3:]))
-            except ValueError:
-                raise InputError(f"bad field label {spec!r}") from None
-        if spec.startswith("F") and spec[1:].isdigit():
-            return PrimeField(int(spec[1:]))
-    raise InputError(f"bad field label {spec!r} (expected Q, F2 or Fp:<p>)")
-
-
-def field_label(field) -> str:
-    return "Q" if field == QQ else f"F{field.p}"
+    return parse_field(spec)
 
 
 def _ring_from_file(name: str, field) -> PolyRing:

@@ -245,6 +245,15 @@ def test_exit_code_bad_hilbert_degree(capsys, small_ring):
     assert err == "error: bad Hilbert degree 'abc', expected an integer\n"
 
 
+@pytest.mark.parametrize("command", ["verify-counterexample", "verify-quotient"])
+def test_exit_code_bad_field_label(capsys, command):
+    # a space, a sign or a non-ASCII digit used to be read as F2
+    for label in ("Fp: 2", "Fp:+2", "F\u0662"):
+        code, out, err = run(capsys, [command, "--field", label])
+        assert (code, out) == (1, "")
+        assert err == f"error: bad field label {label!r} (expected Q, F<p> or Fp:<p>)\n"
+
+
 def test_exit_code_empty_segre_range(capsys):
     argv = ["divisor", "segre-qg", "elliptic", "elliptic", "--a", "0", "--range"]
     code, out, err = run(capsys, argv + ["5:1"])

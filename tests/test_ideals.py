@@ -5,7 +5,7 @@ import pytest
 from quasigor.errors import InputError, RingMismatchError, UnsupportedRequestError
 from quasigor.fields import PrimeField
 from quasigor.ideals import Ideal, exact_quotient
-from quasigor.orders import LexOrder, elimination_order
+from quasigor.orders import GrevlexOrder, LexOrder, elimination_order
 from quasigor.parse import parse_ring
 from quasigor.rings import PolyRing
 
@@ -73,10 +73,39 @@ def test_intersection_randomized_containment(rxyz):
                 assert (I + J).contains(g)
 
 
-def test_intersect_refuses_block_ordered_ring():
-    ring = PolyRing(("x", "y", "z"), order=elimination_order(3, [0], LexOrder(3)))
-    with pytest.raises(UnsupportedRequestError):
-        Ideal(ring, ["x*y"]).intersect(Ideal(ring, ["y*z"]))
+def test_intersect_colon_eliminate_on_block_ordered_rings():
+    # intersect and colon extend the ring's own order by the column of t
+    for order in (
+        elimination_order(3, [0], LexOrder(3)),
+        elimination_order(3, [2], GrevlexOrder((1, 2, 1))),
+    ):
+        ring = PolyRing(("x", "y", "z"), order=order)
+        I = Ideal(ring, ["x*y", "y*z^2 - x^2"])
+        J = Ideal(ring, ["y*z", "x^2"])
+        meet = I.intersect(J)
+        assert meet.generators
+        for g in meet.generators:
+            assert I.contains(g) and J.contains(g)
+        for g in (I * J).generators:
+            assert meet.contains(g)
+        colon = I.colon(J)
+        for c in colon.generators:
+            for g in J.generators:
+                assert I.contains(c * g)
+        for g in I.generators:
+            assert colon.contains(g)
+        assert not colon.contains(ring.one())
+    # eliminating s over an elimination-ordered base nests two blocks
+    names = ("s", "x", "y")
+    base = PolyRing(names, order=elimination_order(3, [2], GrevlexOrder((1, 1, 1))))
+    curve = ["x - s^2", "y - s^3"]
+    contraction = Ideal(base, curve).eliminate(["s"])
+    assert contraction == Ideal(base, ["x^3 - y^2"])
+    for g in contraction.generators:
+        assert Ideal(base, curve).contains(g)
+        assert all(m[0] == 0 for m, _ in g.terms)
+    plain = Ideal(PolyRing(names), curve).eliminate(["s"])
+    assert [str(g) for g in plain.groebner_basis()] == ["x^3 - y^2"]
 
 
 def test_colon_examples(rxy):

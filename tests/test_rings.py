@@ -1,9 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from quasigor import linalg
 from quasigor.errors import InputError, RingMismatchError
-from quasigor.fields import PrimeField
+from quasigor.fields import QQ, PrimeField
+from quasigor.groebner import normal_form
+from quasigor.ideals import Ideal
 from quasigor.orders import GrevlexOrder, LexOrder, elimination_order
 from quasigor.parse import parse_polynomial, parse_ring
 from quasigor.rings import PolyRing
@@ -118,6 +123,63 @@ def test_order_keys_are_matrix_products():
                 expected = base.restricted_to(elim).key(tuple(m[i] for i in elim))
                 expected += base.restricted_to(rest).key(tuple(m[i] for i in rest))
                 assert order.key(m) == expected
+
+
+def _cmp(a, b):
+    return (a > b) - (a < b)
+
+
+@st.composite
+def _orders(draw):
+    """Random weights (0 allowed) and the orders built from them."""
+    weights = draw(st.lists(st.integers(0, 3), min_size=1, max_size=5))
+    n = len(weights)
+    grevlex = GrevlexOrder(weights)
+    positions = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    inner = draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True))
+    outer = draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True))
+    base = draw(st.sampled_from([grevlex, LexOrder(n)]))
+    orders = [
+        grevlex,
+        LexOrder(n),
+        grevlex.restricted_to(positions),
+        elimination_order(n, outer, elimination_order(n, inner, base)),
+    ]
+    monomials = st.lists(st.integers(0, 5), min_size=n + 1, max_size=n + 1).map(tuple)
+    return orders, draw(st.lists(st.tuples(monomials, monomials), min_size=1, max_size=10))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_orders())
+def test_matrix_orders_are_well_orders_and_extend_faithfully(case):
+    orders, pairs = case
+    for order in orders + [o.extended(1) for o in orders]:
+        rows = [[QQ.scalar(c) for c in row] for row in order.matrix]
+        assert linalg.rank(rows, QQ) == order.nvars  # total
+        for column in zip(*order.matrix):
+            assert next(c for c in column if c) > 0  # a well-order
+    for order in orders:
+        ext = order.extended(1)
+        assert ext.nvars == order.nvars + 1
+        for a, b in pairs:
+            a, b = a[: order.nvars], b[: order.nvars]
+            assert _cmp(ext.key(a + (0,)), ext.key(b + (0,))) == _cmp(order.key(a), order.key(b))
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda xyz: PolyRing(xyz.names, order=LexOrder(2)),
+        lambda xyz: PolyRing(xyz.names, order=LexOrder(4)),
+        lambda xyz: xyz.with_order(GrevlexOrder((1, 1))),
+        lambda xyz: Ideal(xyz, ["x*y", "z"]).groebner_basis(order=LexOrder(2)),
+        lambda xyz: normal_form(xyz.parse("x*y"), [xyz.parse("y")], order=GrevlexOrder((1, 1))),
+    ],
+    ids=["ring-narrow", "ring-wide", "with_order", "groebner_basis", "normal_form"],
+)
+def test_order_must_have_one_column_per_variable(entry):
+    with pytest.raises(InputError, match="columns for 3 variables"):
+        entry(PolyRing(("x", "y", "z")))
 
 
 def test_print_parse_round_trip_randomized():
