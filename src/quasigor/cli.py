@@ -20,6 +20,7 @@ import argparse
 import hashlib
 import json
 import sys
+import warnings
 from pathlib import Path
 
 from . import divisors as dv
@@ -213,7 +214,7 @@ def _run_divisor(args) -> int:
             raise InputError("'gens' needs --bound")
         gens, rels = dv.generator_degrees(dv.parse_divisor(expr), args.bound)
         result = {"generators": list(gens), "relations": list(rels)}
-        text = "generators: " + ",".join(map(str, gens))
+        text = "generators: " + (",".join(map(str, gens)) if gens else "none")
         text += "; relation: " + (",".join(map(str, rels)) if rels else "none")
     elif op == "watanabe":
         (expr,) = _take(inputs, 1, op)
@@ -248,24 +249,30 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
         return EXIT_OK if exc.code == 0 else EXIT_INPUT
-    try:
-        if args.command in ("verify-counterexample", "verify-quotient"):
-            return _run_verification(args)
-        if args.command == "ideal":
-            return _run_ideal(args)
-        return _run_divisor(args)
-    except UnsupportedRequestError as exc:
-        print(f"unsupported: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except VerificationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-    except (InputError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except QuasigorError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+    # each library warning becomes one `warning:` line on stderr
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            if args.command in ("verify-counterexample", "verify-quotient"):
+                return _run_verification(args)
+            if args.command == "ideal":
+                return _run_ideal(args)
+            return _run_divisor(args)
+        except UnsupportedRequestError as exc:
+            print(f"unsupported: {exc}", file=sys.stderr)
+            return EXIT_UNSUPPORTED
+        except VerificationError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_FAIL
+        except (InputError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
+        except QuasigorError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_FAIL
+        finally:
+            for warning in caught:
+                print(f"warning: {warning.message}", file=sys.stderr)
 
 
 if __name__ == "__main__":

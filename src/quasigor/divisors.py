@@ -6,15 +6,15 @@ is a finite formal sum with exact rational coefficients.  For an integral
 divisor E of degree d on P^1, h0 = max(0, d+1) and h1 = max(0, -d-1)
 (Riemann-Roch with genus 0; Serre duality pairs E with -E-2*point).
 
-Section spaces of O(floor(n*D)) are realized explicitly as numerator
-forms in k[w,z] = P1_RING over the denominator prod ell_j^{c_j} built
-from the positive floor coefficients.  A product of sections moves onto
-the denominator of its level by multiplying in the primes where the
-factors' floors fall short of the level's (floors are superadditive), so
-generator and relation degrees of the section ring come out of exact
-linear algebra on numerator coefficients: ``linalg.independent`` picks
-the sections outside the span of the products and the relations outside
-the span of the lifted earlier ones.
+Sections are written in the trivialization by the prime forms ell_p:
+for an integral divisor E, H0(P^1, O(E)) is the space of binary forms f
+of degree deg E in k[w,z] = P1_RING, read as f / prod_p ell_p^(E_p)
+(``section_basis`` puts the same space over the positive coefficients'
+denominator).  The product of sections f_i of O(floor(d_i*D)) to the
+powers e_i has the form prod f_i^(e_i) * prod_p ell_p^(floor(n*D)_p -
+sum_i e_i*floor(d_i*D)_p) at level n = sum e_i*d_i, with exponents >= 0
+since floors are superadditive.  So each level of the section ring is
+the forms of one degree, and one row reduction gives its new generators.
 
 A second, fixed cohomology table covers the degree-3 polarization of an
 elliptic curve (h0 = 1, 3n for n = 0, n >= 1; h1(n) = h0(-n)); this is a
@@ -209,57 +209,52 @@ def section_basis(divisor: QDivisor, n: int) -> SectionSpace:
     return SectionSpace(n, floored, den, numerators)
 
 
-def _positive_floor(divisor: QDivisor, n: int):
-    return {p: max(int(c), 0) for p, c in divisor.floor_multiple(n).coefficients.items()}
-
-
 def generator_degrees(divisor: QDivisor, degree_bound: int):
     """Scan levels 1..degree_bound for new algebra generators of the section
     ring and for minimal relations among them.
 
     Returns (generator degree multiset, relation degree multiset) as sorted
-    tuples.  At level n, the products of earlier generators and the section
-    numerators become coefficient vectors over one monomial support; the
-    sections independent of the products are the new generators, and the
-    kernel vectors independent of the lifted earlier relations are the new
-    relations.  Two rank gates skip both selections on the levels where
-    they would find nothing.
+    tuples.  At level n, one ``linalg.dependencies`` over the products of
+    earlier generators and the monomials w^(deg-i)*z^i of degree
+    deg = deg floor(n*D) gives the new generators (the monomials outside
+    the span of the products) and the relations among the products; those
+    outside the span of the lifted earlier relations are new.  For
+    deg D < 0 the section ring is k and both tuples are empty.
     """
     if degree_bound < 1:
         raise InputError("degree bound must be at least 1")
+    if divisor.degree() < 0:  # floor(n*D) has negative degree at every level
+        return (), ()
     field = P1_RING.field
-    generators = []  # (degree, numerator form, positive floor exponents)
+    w, z = P1_RING.gens()
+    generators = []  # (degree, form, floor of degree*D)
     relations = []  # (degree, coefficient vector, exponent list at that degree)
 
     for n in range(1, degree_bound + 1):
-        space = section_basis(divisor, n)
-        target = _positive_floor(divisor, n)
+        floored = divisor.floor_multiple(n)
+        deg = int(floored.degree())
+        monomials = [w ** (deg - i) * z**i for i in range(deg + 1)]
         exponents = monomials_of_degree([d for d, _, _ in generators], n)
-        products = [_product_numerator(generators, e, target) for e in exponents]
-        vectors = linalg.coefficient_vectors(products + list(space.numerators), field)
-        rows, candidates = vectors[: len(products)], vectors[len(products) :]
-        level_rank = linalg.rank(rows, field) if rows else 0
-        if len(space) > level_rank:
-            picked = [i - len(rows) for i in linalg.independent(rows + candidates, field)
-                      if i >= len(rows)]
-            # a degree-n generator's only degree-n product is itself
-            width = len(generators) + len(picked)
-            exponents = [e + (0,) * len(picked) for e in exponents]
-            for i in picked:
-                exponents.append(tuple(int(k == len(generators)) for k in range(width)))
-                generators.append((n, space.numerators[i], dict(target)))
-                rows.append(candidates[i])
-            level_rank += len(picked)
+        products = [_product(generators, e, floored) for e in exponents]
+        vectors = linalg.coefficient_vectors(products + monomials, field)
+        pivots, kernel = linalg.dependencies(vectors, field)
+        picked = [i - len(products) for i in pivots if i >= len(products)]
+        # the product relations come first and are zero past their own column
+        free = len(products) - len(pivots) + len(picked)
+        kernel = [vec[: len(products) + len(picked)] for vec in kernel[:free]]
+        # a degree-n generator's only degree-n product is itself
+        width = len(generators) + len(picked)
+        exponents = [e + (0,) * len(picked) for e in exponents]
+        for i in picked:
+            exponents.append(tuple(int(k == len(generators)) for k in range(width)))
+            generators.append((n, monomials[i], floored))
 
-        kernel_dim = len(exponents) - level_rank
-        if kernel_dim > 0:
+        if kernel:
             index = {e: i for i, e in enumerate(exponents)}
             lifted = _lift_relations(relations, generators, n, index, field)
-            if kernel_dim > (linalg.rank(lifted, field) if lifted else 0):
-                kernel = linalg.kernel_basis([list(col) for col in zip(*rows)], field)
-                for i in linalg.independent(lifted + kernel, field):
-                    if i >= len(lifted):
-                        relations.append((n, kernel[i - len(lifted)], exponents))
+            for i in linalg.independent(lifted + kernel, field):
+                if i >= len(lifted):
+                    relations.append((n, kernel[i - len(lifted)], exponents))
 
     if not generators:  # no level up to the bound has a section
         warnings.warn("degree bound too small to see any section", stacklevel=2)
@@ -269,22 +264,17 @@ def generator_degrees(divisor: QDivisor, degree_bound: int):
     return gen_degrees, rel_degrees
 
 
-def _product_numerator(generators, exponents, target) -> Polynomial:
-    """Numerator of a product of generator sections over the canonical
-    denominator of the target level: the primes where the generators'
-    floors fall short of the target's multiply in."""
-    used = {}
-    product = P1_RING.one()
-    for (deg, num, floors), e in zip(generators, exponents):
-        if not e:
-            continue
-        product = product * num**e
-        for p, c in floors.items():
-            used[p] = used.get(p, 0) + c * e
-    short = [(p, c - used.get(p, 0)) for p, c in target.items()]
-    if any(e < 0 for _, e in short):
+def _product(generators, exponents, floored: QDivisor) -> Polynomial:
+    """Form of a product of generator sections at the level of ``floored``:
+    prod f_i^(e_i) times ell_p^(floored_p - sum_i e_i*floor(d_i*D)_p)."""
+    product, short = P1_RING.one(), floored
+    for (_, form, floors), e in zip(generators, exponents):
+        if e:
+            product = product * form**e
+            short = short - floors.scaled(e)
+    if any(c < 0 for c in short.coefficients.values()):
         raise AssertionError("floor superadditivity violated")
-    return _prime_product(product, short)
+    return _prime_product(product, short.coefficients.items())
 
 
 def _lift_relations(relations, generators, n, index, field):

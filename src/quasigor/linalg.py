@@ -6,10 +6,10 @@ because there is no rounding.  Sizes here stay small (tens of rows by a
 few hundred columns), so plain Gaussian elimination is the right tool.
 
 Polynomials enter as coefficient vectors over their joint monomial
-support, and ``independent`` is the one place that decides which of a
-list of vectors lie outside the span of the ones before them: the
-Nakayama count in ``linkage`` and the generator and relation search in
-``divisors`` both ask it.
+support.  ``independent`` gives the indices of the vectors outside the
+span of the earlier ones (the Nakayama count in ``linkage`` asks it);
+``dependencies`` gives the same pivots and, from the same reduction, a
+relation for each other vector (the section-ring search in ``divisors``).
 """
 
 from __future__ import annotations
@@ -56,25 +56,24 @@ def rank(rows, field) -> int:
 
 
 def kernel_basis(rows, field):
-    """Basis of the right kernel {x : A x = 0}, one vector per free column.
+    """Basis of the right kernel {x : A x = 0}: the relations among the columns."""
+    return dependencies([list(col) for col in zip(*rows)], field)[1]
 
-    Deterministic: free columns are processed in increasing order and each
-    basis vector has a 1 in its free column.
-    """
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    rref, pivots = row_reduce(rows, field)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for free in free_cols:
-        vec = [field.zero] * ncols
-        vec[free] = field.one
-        for prow, pcol in enumerate(pivots):
-            vec[pcol] = field.neg(rref[prow][free])
-        basis.append(vec)
-    return basis
+
+def dependencies(vectors, field):
+    """(pivots, relations) from one row reduction with the vectors as
+    columns: the pivots of ``independent``, and for each other vector, in
+    increasing order, the relation writing it through the earlier pivot
+    vectors, with a 1 at its index and zeros past it."""
+    rref, pivots = row_reduce([list(col) for col in zip(*vectors)], field)
+    relations = []
+    for j in sorted(set(range(len(vectors))) - set(pivots)):
+        vec = [field.zero] * len(vectors)
+        vec[j] = field.one
+        for row, col in zip(rref, pivots):
+            vec[col] = field.neg(row[j])
+        relations.append(vec)
+    return pivots, relations
 
 
 def coefficient_vectors(polys, field):

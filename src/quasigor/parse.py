@@ -23,7 +23,7 @@ _TOKEN_RE = re.compile(
     r"(?P<ws>[ \t\r]+)"
     r"|(?P<comment>#[^\n]*)"
     r"|(?P<newline>\n)"
-    r"|(?P<int>\d+)"
+    r"|(?P<int>[0-9]+)"
     r"|(?P<ident>[A-Za-z][A-Za-z0-9_]*)"
     r"|(?P<range>\.\.)"
     r"|(?P<sym>[-+*^/(),;])"

@@ -151,6 +151,22 @@ def test_divisor_ops(capsys):
     assert out.startswith("true")
 
 
+def test_divisor_gens_without_sections(capsys):
+    # deg D < 0: the section ring is k, and no bound would show a section
+    code, out, err = run(capsys, ["divisor", "gens", "--bound", "3", "--", "-P(0)"])
+    assert (code, out, err) == (0, "generators: none; relation: none\n", "")
+    # deg D > 0 but no section up to the bound: one warning line on stderr
+    code, out, err = run(capsys, ["divisor", "gens", "--bound", "1", "--", "1/2*P(0) - 1/3*P(1)"])
+    assert (code, out) == (0, "generators: none; relation: none\n")
+    assert err == "warning: degree bound too small to see any section\n"
+
+
+def test_divisor_rejects_non_ascii_digits(capsys):
+    code, out, err = run(capsys, ["divisor", "h0", "--", "P(\u0663)"])
+    assert (code, out) == (1, "")
+    assert err == "error: unexpected character '\u0663' (line 1, column 3)\n"
+
+
 def test_divisor_json_validates(capsys, schema):
     code, out, _ = run(capsys, ["divisor", "gens", D1, "--bound", "24", "--json"])
     assert code == 0

@@ -1,4 +1,5 @@
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -253,10 +254,26 @@ def test_generator_degrees_match_hilbert_series_randomized():
         assert hilbert_series_coefficients(gens, rels, bound) == expected, divisor
 
 
+def test_generator_degrees_many_generators_and_relations():
+    divisor = parse_divisor("1/5*P(-3) + 1/4*P(-2) + 3/2*P(-1) - 1/5*P(0)")
+    assert generator_degrees(divisor, 8) == (
+        (1, 2, 2, 3, 4, 4, 5, 5),
+        (4, 4, 5, 5, 6, 6, 6, 6, 6, 7, 7, 7, 7, 7, 8, 8, 8),
+    )
+
+
 def test_generator_degrees_warns_when_bound_too_small():
     with pytest.warns(UserWarning, match="bound too small"):
         gens, rels = generator_degrees(D2.scaled(Fraction(1, 100)), 1)
     assert gens == () and rels == ()
+
+
+def test_generator_degrees_negative_degree_is_the_ground_field():
+    # no level of a negative-degree divisor has a section, whatever the bound
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert generator_degrees(parse_divisor("-P(0)"), 3) == ((), ())
+        assert generator_degrees(D2.scaled(-1), 1) == ((), ())
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +356,8 @@ def test_divisor_parse_round_trip():
 
 
 def test_divisor_parse_errors():
-    for bad in ("", "2*", "P(x)", "P(1", "1/0*P(0)", "2*P(0) +"):
+    # the grammar is ASCII: other decimal digits are not integers
+    for bad in ("", "2*", "P(x)", "P(1", "1/0*P(0)", "2*P(0) +", "P(\u0663)", "\u0662*P(0)"):
         with pytest.raises(ParseError):
             parse_divisor(bad)
 

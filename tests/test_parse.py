@@ -85,3 +85,13 @@ def test_parenthesized_expressions():
     R = parse_ring("field Q; vars x,y")
     assert R.parse("(x+y)*(x-y)") == R.parse("x^2-y^2")
     assert R.parse("-(x-y)") == R.parse("y-x")
+
+
+def test_non_ascii_digits_rejected():
+    # Unicode decimal digits are not integer literals in the ASCII grammar
+    with pytest.raises(ParseError, match="unexpected character"):
+        parse_ring("field Q; vars x,y; weights 1,\u0662")
+    R = parse_ring("field Q; vars x,y")
+    for bad in ("x^\u0663 + 5*y", "x^3 + \u0665*y"):
+        with pytest.raises(ParseError, match="unexpected character"):
+            R.parse(bad)
