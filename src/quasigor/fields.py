@@ -3,15 +3,21 @@
 Scalars are plain values (rationals, or ints in ``[0, p)``), not wrapper
 objects; the field object supplies the arithmetic.  This keeps the inner
 loops of the Groebner engine free of per-element dispatch.  Rational
-scalars use ``gmpy2.mpq`` when available (noticeably faster on the large
-numerators that show up mid-reduction) and ``fractions.Fraction``
+scalars use ``gmpy2.mpq`` when available and ``fractions.Fraction``
 otherwise; both are exact and print identically.
+
+``normalize`` gives the canonical scalar multiple the Groebner engine
+works with: over Q a primitive integer vector (denominators cleared,
+content divided out, leading entry positive), so the engine reduces with
+integers and builds a rational only when a result leaves it; over F_p a
+monic vector.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import InputError
 
@@ -78,10 +84,22 @@ class RationalField:
     def div(self, a, b):
         if not b:
             raise ZeroDivisionError("division by zero scalar")
-        return a / b
+        return _rat(a) / b
 
     def inv(self, a):
         return self.div(self.one, a)
+
+    def normalize(self, terms):
+        """``(unit, primitive)`` for nonempty ``terms``, (key, rational)
+        pairs with the leading pair first: ``primitive`` holds the same keys
+        with coprime integer coefficients, the leading one positive, and
+        ``terms`` is ``unit`` times ``primitive``."""
+        den = lcm(*(c.denominator for _, c in terms))
+        nums = [c.numerator * (den // c.denominator) for _, c in terms]
+        content = gcd(*nums)
+        if nums[0] < 0:
+            content = -content
+        return self.scalar(content, den), tuple((k, n // content) for (k, _), n in zip(terms, nums))
 
     @staticmethod
     def format(a) -> str:
@@ -136,6 +154,16 @@ class PrimeField:
 
     def inv(self, a):
         return self.div(1, a)
+
+    def normalize(self, terms):
+        """``(unit, monic)`` for nonempty ``terms``, (key, scalar) pairs with
+        the leading pair first: ``terms`` is ``unit`` times ``monic``."""
+        lc = terms[0][1]
+        if lc == 1:
+            return 1, terms
+        p = self.p
+        inv = pow(lc, -1, p)
+        return lc, tuple((k, c * inv % p) for k, c in terms)
 
     @staticmethod
     def format(a) -> str:

@@ -15,6 +15,22 @@ there one pass suffices.  The output is the reduced Groebner basis, which
 is unique for a given ideal and order, hence independent of the order in
 which generators are supplied.
 
+Inside the engine each element is the field's ``normalize`` form of its
+polynomial: monic over F_p, and over Q a primitive integer polynomial
+(denominators cleared, content divided out, leading coefficient positive),
+so Q coefficients are Python ints there.  When a reduction step cancels a
+term with coefficient ``c`` by a reducer with leading coefficient ``a``, it
+multiplies the rest of the dividend and the remainder found so far by
+``a / gcd(a, c)`` and subtracts ``c / gcd(a, c)`` times the shifted
+reducer (primitive pseudo-division; Geddes, Czapor and Labahn,
+*Algorithms for Computer Algebra*, 1992).  Each such step is a nonzero
+multiple of the field step on the same support, so every step cancels the
+same term with the same reducer as division over the field; over F_p
+``a`` is 1 and the step is the field step.  The factors are tracked, and
+results leave the engine as exact field elements: a basis as monic
+polynomials, a remainder or quotient as the unit of its input times the
+result over the accumulated scale.
+
 Inside the engine a monomial is one Python int (packed exponent vectors,
 Monagan and Pearce, CASC 2007).  The low bits hold the exponents, one
 field of ``width`` bits per variable, each topped by a guard bit that is
@@ -38,6 +54,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left
+from math import gcd
 from operator import mul
 
 from .errors import InputError, RingMismatchError
@@ -71,23 +88,22 @@ class GroebnerBasis:
     def normal_form(self, f: Polynomial) -> Polynomial:
         if f.ring.names != self.ring.names or f.ring.field != self.ring.field:
             raise RingMismatchError("polynomial does not belong to the basis ring")
+        if not f:
+            return self.ring.zero()
         if self._division is None:
             self._division = self._packed(_width(self.polys + (f,)))
         while True:
             engine, reducers = self._division
             try:
-                terms = engine.normal_form_terms(engine.pack_terms(f.terms), reducers)
-                return Polynomial(self.ring, engine.unpack_terms(terms))
+                unit, terms = engine.normalize(engine.pack_terms(f.terms))
+                remainder, scale = engine.normal_form_terms(terms, reducers)
+                return Polynomial(self.ring, engine.unpack_terms(remainder, unit, scale))
             except _Overflow:
                 self._division = self._packed(2 * engine.width)
 
     def _packed(self, width):
         engine = _Engine(self.ring, width)
-        reducers = []
-        for p in self.polys:
-            terms = engine.pack_terms(p.terms)
-            reducers.append((terms[0][0], terms[1:]))
-        return engine, reducers
+        return engine, [engine.reducer(engine.normalize(engine.pack_terms(p.terms))[1]) for p in self.polys]
 
     def contains(self, f: Polynomial) -> bool:
         return not self.normal_form(f)
@@ -121,6 +137,9 @@ class _Engine:
     def __init__(self, ring: PolyRing, width: int):
         self.ring = ring
         self.field = ring.field
+        # (unit, element) of nonempty packed terms: the element is the
+        # engine form (primitive integer over Q, monic over F_p)
+        self.normalize = ring.field.normalize
         self.weights = ring.weights
         self.width = width
         n = ring.nvars
@@ -161,9 +180,18 @@ class _Engine:
         pack = self.pack
         return tuple(sorted(((pack(m), c) for m, c in terms), reverse=True))
 
-    def unpack_terms(self, terms):
+    def unpack_terms(self, terms, unit, scale):
+        """Unpacked terms with each coefficient ``c`` turned into the field
+        element ``unit * c / scale``."""
         unpack = self.unpack
-        return tuple((unpack(m), c) for m, c in terms)
+        field = self.field
+        mul_, scalar = field.mul, field.scalar
+        return tuple((unpack(m), mul_(unit, scalar(c, scale))) for m, c in terms)
+
+    @staticmethod
+    def reducer(terms):
+        """(lm, lc, tail) of an element, as the division loop takes it."""
+        return terms[0][0], terms[0][1], terms[1:]
 
     # -- exponent-part operations ------------------------------------------
 
@@ -174,11 +202,11 @@ class _Engine:
         return (a & take_a) | (b & ~take_a)
 
     def record(self, terms):
-        """(lm, lm exponent part, lm support, terms) of a monic element; the
-        support has the guard bit of each nonzero exponent set."""
+        """(lm, lm exponent part, lm support, terms, reducer) of an element;
+        the support has the guard bit of each nonzero exponent set."""
         lm = terms[0][0]
         e = lm & self.emask
-        return (lm, e, ((e | self.guard) - self.ones) & self.guard, terms)
+        return (lm, e, ((e | self.guard) - self.ones) & self.guard, terms, self.reducer(terms))
 
     def pair_key(self, lcm_e):
         """(weighted degree, packed monomial) of an lcm's exponent part."""
@@ -188,16 +216,18 @@ class _Engine:
     # -- arithmetic ---------------------------------------------------------
 
     def normal_form_terms(self, items, reducers, quotient=None):
-        """Fully reduce; ``reducers`` are (lm, tail) with monic lm.
+        """Fully reduce engine terms; ``reducers`` are (lm, lc, tail) of
+        engine elements.
 
-        Returns the remainder as a descending terms tuple.  When
-        ``quotient`` is a list, each reduction step appends its (quotient
-        monomial, coefficient) to it; with a single reducer that is the
-        quotient, in descending order.
+        Returns ``(remainder, scale)``: the remainder as a descending terms
+        tuple, equal to ``scale`` times the remainder of division over the
+        field.  When ``quotient`` is a list, each reduction step appends its
+        (quotient monomial, coefficient) to it, kept at the same scale; with
+        a single reducer that is the quotient, in descending order.
         """
         p = dict(items)
         if not p:
-            return ()
+            return (), 1
         field = self.field
         sub, mul_, neg = field.sub, field.mul, field.neg
         guard = self.guard
@@ -205,17 +235,29 @@ class _Engine:
         heapq.heapify(heap)
         push, pop = heapq.heappush, heapq.heappop
         remainder = []
+        scale = 1
         while heap:
             m = -pop(heap)
             c = p.pop(m, None)
             if c is None:
                 continue
-            for lm, tail in reducers:
+            for lm, a, tail in reducers:
                 if not (m - lm) & guard:
                     break
             else:
                 remainder.append((m, c))
                 continue
+            if a != 1:
+                g = gcd(a, c)
+                mult = a // g
+                c //= g
+                if mult != 1:
+                    # cross-multiply: scale what is left and what is done
+                    scale *= mult
+                    p = {k: mul_(v, mult) for k, v in p.items()}
+                    remainder = [(k, mul_(v, mult)) for k, v in remainder]
+                    if quotient is not None:
+                        quotient[:] = [(k, mul_(v, mult)) for k, v in quotient]
             q = m - lm
             if quotient is not None:
                 quotient.append((q, c))
@@ -234,14 +276,22 @@ class _Engine:
                         p[mm] = s
                     else:
                         del p[mm]
-        return tuple(remainder)
+        return tuple(remainder), scale
 
     def spoly_dict(self, terms_f, terms_g, lcm):
-        """S-polynomial of two monic descending terms tuples, as a dict."""
+        """S-polynomial of two engine elements, as a dict: ``b/g * x^qf * f
+        - a/g * x^qg * g`` for leading coefficients ``a`` and ``b`` with
+        ``g = gcd(a, b)``, which is ``lcm(a, b)`` times the S-polynomial of
+        the monic elements."""
         qf = lcm - terms_f[0][0]
         qg = lcm - terms_g[0][0]
         guard = self.guard
         field = self.field
+        a, b = terms_f[0][1], terms_g[0][1]
+        if a != b:
+            g = gcd(a, b)
+            terms_f = self._scaled(terms_f, b // g)
+            terms_g = self._scaled(terms_g, a // g)
         acc = {}
         for m, c in terms_f:
             mm = m + qf
@@ -263,15 +313,9 @@ class _Engine:
                     del acc[mm]
         return acc
 
-    def make_monic(self, terms):
-        if not terms:
-            return terms
-        lc = terms[0][1]
-        if lc == self.field.one:
-            return terms
-        inv = self.field.inv(lc)
+    def _scaled(self, terms, s):
         mul_ = self.field.mul
-        return tuple((m, mul_(inv, c)) for m, c in terms)
+        return [(m, mul_(c, s)) for m, c in terms]
 
 
 def _width(polys) -> int:
@@ -309,12 +353,15 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     ring = _common_ring([f, g])
 
     def run(engine):
-        tf = engine.make_monic(engine.pack_terms(f.terms))
-        tg = engine.make_monic(engine.pack_terms(g.terms))
+        _, tf = engine.normalize(engine.pack_terms(f.terms))
+        _, tg = engine.normalize(engine.pack_terms(g.terms))
         lcm_e = engine.lcm_exps(tf[0][0] & engine.emask, tg[0][0] & engine.emask)
         _, lcm = engine.pair_key(lcm_e)
         acc = engine.spoly_dict(tf, tg, lcm)
-        return {engine.unpack(m): c for m, c in acc.items()}
+        a, b = tf[0][1], tg[0][1]
+        scale = a // gcd(a, b) * b
+        scalar = ring.field.scalar
+        return {engine.unpack(m): scalar(c, scale) for m, c in acc.items()}
 
     return ring.polynomial(_widening(ring, _width([f, g]), run))
 
@@ -335,12 +382,12 @@ def normal_form(f: Polynomial, basis, order=None) -> Polynomial:
     work = _working_ring(ring, order)
 
     def run(engine):
-        reducers = []
-        for g in basis:
-            terms = engine.make_monic(engine.pack_terms(g.terms))
-            reducers.append((terms[0][0], terms[1:]))
-        remainder = engine.normal_form_terms(engine.pack_terms(f.terms), reducers)
-        return engine.unpack_terms(remainder)
+        reducers = [engine.reducer(engine.normalize(engine.pack_terms(g.terms))[1]) for g in basis]
+        if not f:
+            return ()
+        unit, terms = engine.normalize(engine.pack_terms(f.terms))
+        remainder, scale = engine.normal_form_terms(terms, reducers)
+        return engine.unpack_terms(remainder, unit, scale)
 
     terms = _widening(work, _width([f] + basis), run)
     if work is ring:
@@ -358,18 +405,17 @@ def exact_quotient(f: Polynomial, g: Polynomial) -> Polynomial:
     ring = f.ring
 
     def run(engine):
-        divisor = engine.make_monic(engine.pack_terms(g.terms))
+        if not f:
+            return ()
+        unit_g, divisor = engine.normalize(engine.pack_terms(g.terms))
+        unit_f, terms = engine.normalize(engine.pack_terms(f.terms))
         quotient = []
-        reducers = [(divisor[0][0], divisor[1:])]
-        if engine.normal_form_terms(engine.pack_terms(f.terms), reducers, quotient):
+        remainder, scale = engine.normal_form_terms(terms, [engine.reducer(divisor)], quotient)
+        if remainder:
             raise InputError("polynomial is not an exact multiple")
-        return engine.unpack_terms(quotient)
+        return engine.unpack_terms(quotient, engine.field.div(unit_f, unit_g), scale)
 
-    # dividing by g / lc(g) gives lc(g) times the quotient
-    lc = g.terms[0][1]
-    div = ring.field.div
-    terms = _widening(ring, _width([f, g]), run)
-    return Polynomial(ring, tuple((m, div(c, lc)) for m, c in terms))
+    return Polynomial(ring, _widening(ring, _width([f, g]), run))
 
 
 def buchberger(generators, order=None, trace=None) -> GroebnerBasis:
@@ -409,7 +455,7 @@ def _complete(engine, gens, trace) -> GroebnerBasis:
     seed = []
     seen = set()
     for g in gens:
-        terms = engine.make_monic(engine.pack_terms(g.terms))
+        _, terms = engine.normalize(engine.pack_terms(g.terms))
         if terms not in seen:
             seen.add(terms)
             seed.append(terms)
@@ -430,17 +476,14 @@ def _complete(engine, gens, trace) -> GroebnerBasis:
             trace(f"pair ({i},{j}) lcm={work.monomial_str(engine.unpack(lcm))}")
         s_dict = engine.spoly_dict(records[i][3], records[j][3], lcm)
         if reducers is None:
-            reducers = [
-                (records[k][0], records[k][3][1:])
-                for k in sorted(current, key=lambda k: records[k][0])
-            ]
-        remainder = engine.normal_form_terms(s_dict.items(), reducers)
+            reducers = [records[k][4] for k in sorted(current, key=lambda k: records[k][0])]
+        remainder, _ = engine.normal_form_terms(s_dict.items(), reducers)
         if not remainder:
             n_zero += 1
             if trace:
                 trace("  -> reduced to 0")
             continue
-        records.append(engine.record(engine.make_monic(remainder)))
+        records.append(engine.record(engine.normalize(remainder)[1]))
         new_idx = len(records) - 1
         if trace:
             lm = work.monomial_str(engine.unpack(records[new_idx][0]))
@@ -451,7 +494,8 @@ def _complete(engine, gens, trace) -> GroebnerBasis:
         trace(f"{n_zero} pairs reduced to zero")
 
     final = _interreduce(engine, sorted((records[k][3] for k in current), key=lambda t: t[0][0]))
-    polys = [Polynomial(work, engine.unpack_terms(terms)) for terms in final]
+    one = work.field.one
+    polys = [Polynomial(work, engine.unpack_terms(terms, one, terms[0][1])) for terms in final]
     return GroebnerBasis(work, work.order, polys)
 
 
@@ -466,17 +510,17 @@ def _interreduce(engine, elements):
         moved = False
         done = []
         done_reducers = []
-        waiting = [(t[0][0], t[1:]) for t in current]
+        waiting = [engine.reducer(t) for t in current]
         for terms in current:
             del waiting[0]  # superseded by its reduced form, which joins done_reducers
-            reduced = engine.normal_form_terms(terms, done_reducers + waiting)
+            reduced, _ = engine.normal_form_terms(terms, done_reducers + waiting)
             if not reduced:
                 continue
             if reduced[0][0] != terms[0][0]:
                 moved = True
-            reduced = engine.make_monic(reduced)
+            _, reduced = engine.normalize(reduced)
             done.append(reduced)
-            done_reducers.append((reduced[0][0], reduced[1:]))
+            done_reducers.append(engine.reducer(reduced))
         if not moved:
             return done
         current = done
@@ -491,7 +535,7 @@ def _update_pairs(engine, records, current, pairs, new_idx):
     """
     guard = engine.guard
     lcm_exps = engine.lcm_exps
-    _, e_new, s_new, _ = records[new_idx]
+    _, e_new, s_new, _, _ = records[new_idx]
 
     ordered = sorted(current)
     lcms = [lcm_exps(e_new, records[idx][1]) for idx in ordered]

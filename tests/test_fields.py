@@ -24,6 +24,26 @@ def test_rationals_are_exact():
         QQ.div(QQ.one, QQ.zero)
 
 
+def test_rational_division_stays_exact_on_int_operands():
+    half = QQ.div(1, 2)
+    assert half == QQ.scalar(1, 2)
+    assert not isinstance(half, float)
+    assert QQ.format(QQ.div(2, 4)) == "1/2"
+    with pytest.raises(ZeroDivisionError):
+        QQ.div(1, 0)
+
+
+def test_normalize_gives_the_canonical_multiple():
+    unit, terms = QQ.normalize(((2, QQ.scalar(-3, 2)), (1, QQ.scalar(6, 7)), (0, QQ.scalar(9))))
+    assert terms == ((2, 7), (1, -4), (0, -42))
+    assert all(type(c) is int for _, c in terms)
+    assert unit == QQ.scalar(-3, 14)
+    f7 = PrimeField(7)
+    assert f7.normalize(((1, 3), (0, 5))) == (3, ((1, 1), (0, 4)))
+    monic = ((1, 1), (0, 5))
+    assert f7.normalize(monic)[1] is monic
+
+
 def test_prime_field_arithmetic():
     f5 = PrimeField(5)
     assert f5.scalar(7) == 2

@@ -1,11 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasigor import groebner, ideals
 from quasigor.errors import InputError, RingMismatchError
-from quasigor.fields import PrimeField
-from quasigor.groebner import buchberger, ideal_membership, normal_form, s_polynomial
+from quasigor.fields import QQ, PrimeField
+from quasigor.groebner import buchberger, exact_quotient, ideal_membership, normal_form, s_polynomial
 from quasigor.linkage import verify_quotient_ring
 from quasigor.orders import LexOrder, elimination_order
 from quasigor.parse import parse_ring
@@ -76,6 +78,47 @@ def test_s_polynomial_examples(rxy):
     assert not s_polynomial(f, f)
     with pytest.raises(InputError):
         s_polynomial(rxy.zero(), f)
+
+
+def test_rational_results_are_exact_field_values():
+    # The engine reduces primitive integer polynomials over Q; what leaves
+    # it must be the exact rational values of division over the field.
+    R = parse_ring("field Q; vars x,y,z")
+    f = R.parse("3/2*x^2*y - 5/7*z^3 + x")
+    g = R.parse("2/3*x*y - 1/5*z")
+    remainder = normal_form(f, [g])
+    assert remainder == R.parse("-5/7*z^3 + 9/20*x*z + x")
+    assert s_polynomial(f, g) == R.parse("-10/21*z^3 + 3/10*x*z + 2/3*x")
+    assert exact_quotient(f * g, g) == f
+    assert buchberger([g]).normal_form(f) == remainder
+    assert all(type(c) is type(QQ.one) for _, c in remainder.terms)
+
+
+@st.composite
+def _rational_ideals(draw):
+    """Two or three squarefree polynomials in Q[x,y,z] with denominators,
+    nonzero rational scale factors for them, and a permutation of their
+    indices.  Squarefree keeps the oracle's linear systems small."""
+    monomials = st.tuples(*[st.integers(0, 1)] * 3)
+    rationals = st.builds(QQ.scalar, st.integers(-9, 9).filter(bool), st.integers(1, 9))
+    gens = draw(
+        st.lists(st.dictionaries(monomials, rationals, min_size=1, max_size=3), min_size=2, max_size=3)
+    )
+    scales = draw(st.lists(rationals, min_size=len(gens), max_size=len(gens)))
+    return gens, scales, draw(st.permutations(range(len(gens))))
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(_rational_ideals())
+def test_rational_basis_is_scale_and_permutation_invariant(case):
+    coefficient_maps, scales, permutation = case
+    ring = PolyRing(("x", "y", "z"))
+    gens = [ring.polynomial(terms) for terms in coefficient_maps]
+    gb = buchberger(gens)
+    moved = [gens[i].scaled(scales[i]) for i in permutation]
+    assert buchberger(moved).polys == gb.polys
+    for p in gb:
+        assert any(membership_by_linear_algebra(p, gens, slack=slack) for slack in (3, 6, 9))
 
 
 def test_buchberger_single_generator(rxy):
@@ -224,7 +267,8 @@ def test_seed_interreduction_over_several_passes():
     ]
 
 
-def test_work_counters_on_the_quotient_ring(monkeypatch):
+@pytest.mark.parametrize("field", ["F2", "Q"])
+def test_work_counters_on_the_quotient_ring(monkeypatch, field):
     # Pair selection order and pruning decide these counts; any change to
     # either shows up here even when the bases stay the same.
     counts = dict(calls=0, pairs=0, zero=0, new=0, basis=0)
@@ -245,7 +289,7 @@ def test_work_counters_on_the_quotient_ring(monkeypatch):
         return gb
 
     monkeypatch.setattr(ideals, "buchberger", counting)
-    verify_quotient_ring("F2")
+    verify_quotient_ring(field)
     assert counts == dict(calls=46, pairs=2860, zero=2491, new=369, basis=804)
 
 
