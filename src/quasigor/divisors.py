@@ -81,6 +81,8 @@ class QDivisor:
     def __init__(self, coefficients):
         clean = {}
         for point, coeff in coefficients.items() if isinstance(coefficients, dict) else coefficients:
+            if isinstance(coeff, float):  # Fraction(0.1) is 3602879701896397/2^55
+                raise InputError(f"divisor coefficient {coeff!r} is a float; give an int, a Fraction or a string")
             coeff = Fraction(coeff)
             if coeff:
                 acc = clean.get(point, Fraction(0)) + coeff
@@ -117,7 +119,6 @@ class QDivisor:
         return self + other.scaled(-1)
 
     def scaled(self, factor) -> "QDivisor":
-        factor = Fraction(factor)
         return QDivisor({p: c * factor for p, c in self.coefficients.items()})
 
     def __eq__(self, other):

@@ -3,8 +3,7 @@
 Scalars are plain values (rationals, or ints in ``[0, p)``), not wrapper
 objects; the field object supplies the arithmetic.  This keeps the inner
 loops of the Groebner engine free of per-element dispatch.  Rational
-scalars use ``gmpy2.mpq`` when available and ``fractions.Fraction``
-otherwise; both are exact and print identically.
+scalars are ``fractions.Fraction`` values.
 
 ``normalize`` gives the canonical scalar multiple the Groebner engine
 works with: over Q a primitive integer vector (denominators cleared,
@@ -20,11 +19,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import InputError
-
-try:
-    from gmpy2 import mpq as _rat
-except ImportError:  # pragma: no cover - gmpy2 is optional
-    _rat = Fraction
 
 
 def is_prime(n: int) -> bool:
@@ -57,13 +51,13 @@ class RationalField:
     characteristic = 0
 
     def __init__(self):
-        self.zero = _rat(0)
-        self.one = _rat(1)
+        self.zero = Fraction(0)
+        self.one = Fraction(1)
 
     def scalar(self, numerator: int, denominator: int = 1):
         if denominator == 0:
             raise InputError("zero denominator")
-        return _rat(numerator, denominator)
+        return Fraction(numerator, denominator)
 
     @staticmethod
     def add(a, b):
@@ -84,7 +78,7 @@ class RationalField:
     def div(self, a, b):
         if not b:
             raise ZeroDivisionError("division by zero scalar")
-        return _rat(a) / b
+        return Fraction(a) / b
 
     def inv(self, a):
         return self.div(self.one, a)

@@ -46,8 +46,10 @@ representation.
 The field width comes from the largest input exponent.  A product whose
 exponent reaches a guard bit raises ``_Overflow``, and the whole call is
 redone with fields twice as wide (trace lines an earlier attempt already
-emitted are not repeated).  Exponents therefore never wrap, and there is
-no exponent cap.
+emitted are not repeated).  Division by a fixed list of reducers
+(``_Division``, the one way into the division loop from outside the
+completion) packs the reducers once and packs them again only then.
+Exponents therefore never wrap, and there is no exponent cap.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ class GroebnerBasis:
         self.ring = ring
         self.order = order
         self.polys = tuple(polys)
-        self._division = None  # (engine, packed reducers), built on first use
+        self._division = _Division(ring, self.polys)
 
     def leading_monomials(self):
         return tuple(p.leading_monomial() for p in self.polys)
@@ -88,22 +90,7 @@ class GroebnerBasis:
     def normal_form(self, f: Polynomial) -> Polynomial:
         if f.ring.names != self.ring.names or f.ring.field != self.ring.field:
             raise RingMismatchError("polynomial does not belong to the basis ring")
-        if not f:
-            return self.ring.zero()
-        if self._division is None:
-            self._division = self._packed(_width(self.polys + (f,)))
-        while True:
-            engine, reducers = self._division
-            try:
-                unit, terms = engine.normalize(engine.pack_terms(f.terms))
-                remainder, scale = engine.normal_form_terms(terms, reducers)
-                return Polynomial(self.ring, engine.unpack_terms(remainder, unit, scale))
-            except _Overflow:
-                self._division = self._packed(2 * engine.width)
-
-    def _packed(self, width):
-        engine = _Engine(self.ring, width)
-        return engine, [engine.reducer(engine.normalize(engine.pack_terms(p.terms))[1]) for p in self.polys]
+        return self._division(f)
 
     def contains(self, f: Polynomial) -> bool:
         return not self.normal_form(f)
@@ -318,6 +305,48 @@ class _Engine:
         return [(m, mul_(c, s)) for m, c in terms]
 
 
+class _Division:
+    """Division by fixed nonzero reducers, all in one ring.
+
+    The reducers are packed once, on the first call, and packed again with
+    fields twice as wide only when a dividend outgrows them.
+    """
+
+    __slots__ = ("ring", "reducers", "_packing")
+
+    def __init__(self, ring: PolyRing, reducers):
+        self.ring = ring
+        self.reducers = tuple(reducers)
+        self._packing = None  # (engine, reducer units, engine reducers)
+
+    def _pack(self, width):
+        engine = _Engine(self.ring, width)
+        forms = [engine.normalize(engine.pack_terms(g.terms)) for g in self.reducers]
+        self._packing = engine, [unit for unit, _ in forms], [engine.reducer(t) for _, t in forms]
+
+    def __call__(self, f: Polynomial, quotient=False) -> Polynomial:
+        """The remainder of ``f``; with ``quotient``, the quotient of ``f``
+        by the one reducer, raising unless the remainder is zero."""
+        if not f:
+            return self.ring.zero()
+        if self._packing is None:
+            self._pack(_width(self.reducers + (f,)))
+        while True:
+            engine, units, reducers = self._packing
+            steps = [] if quotient else None
+            try:
+                unit, terms = engine.normalize(engine.pack_terms(f.terms))
+                remainder, scale = engine.normal_form_terms(terms, reducers, steps)
+                break
+            except _Overflow:
+                self._pack(2 * engine.width)
+        if not quotient:
+            return Polynomial(self.ring, engine.unpack_terms(remainder, unit, scale))
+        if remainder:
+            raise InputError("polynomial is not an exact multiple")
+        return Polynomial(self.ring, engine.unpack_terms(steps, engine.field.div(unit, units[0]), scale))
+
+
 def _width(polys) -> int:
     """Starting field width: room for the largest input exponent doubled."""
     top = max((max(m) for f in polys for m, _ in f.terms), default=0)
@@ -340,12 +369,6 @@ def _common_ring(polys) -> PolyRing:
     return next(iter(rings))
 
 
-def _working_ring(ring: PolyRing, order) -> PolyRing:
-    if order is None or order == ring.order:
-        return ring
-    return ring.with_order(order)
-
-
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     """lcm-cancellation of the leading terms of two nonzero polynomials."""
     if not f or not g:
@@ -366,9 +389,10 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     return ring.polynomial(_widening(ring, _width([f, g]), run))
 
 
-def normal_form(f: Polynomial, basis, order=None) -> Polynomial:
+def normal_form(f: Polynomial, basis) -> Polynomial:
     """Remainder of f on division by ``basis`` (any list of nonzero
-    polynomials, not necessarily a Groebner basis).
+    polynomials, not necessarily a Groebner basis), in the order of their
+    common ring.
 
     Deterministic: the largest reducible term is always cancelled by the
     first listed reducer.  No term of the result is divisible by any
@@ -378,21 +402,7 @@ def normal_form(f: Polynomial, basis, order=None) -> Polynomial:
     basis = list(basis)
     if not basis or any(not g for g in basis):
         raise InputError("reducers must be nonzero")
-    ring = _common_ring([f] + basis)
-    work = _working_ring(ring, order)
-
-    def run(engine):
-        reducers = [engine.reducer(engine.normalize(engine.pack_terms(g.terms))[1]) for g in basis]
-        if not f:
-            return ()
-        unit, terms = engine.normalize(engine.pack_terms(f.terms))
-        remainder, scale = engine.normal_form_terms(terms, reducers)
-        return engine.unpack_terms(remainder, unit, scale)
-
-    terms = _widening(work, _width([f] + basis), run)
-    if work is ring:
-        return Polynomial(work, terms)
-    return ring.polynomial(dict(terms))
+    return _Division(_common_ring([f] + basis), basis)(f)
 
 
 def exact_quotient(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -402,24 +412,12 @@ def exact_quotient(f: Polynomial, g: Polynomial) -> Polynomial:
         raise InputError("division by the zero polynomial")
     if f.ring != g.ring:
         raise RingMismatchError("operands belong to different rings")
-    ring = f.ring
-
-    def run(engine):
-        if not f:
-            return ()
-        unit_g, divisor = engine.normalize(engine.pack_terms(g.terms))
-        unit_f, terms = engine.normalize(engine.pack_terms(f.terms))
-        quotient = []
-        remainder, scale = engine.normal_form_terms(terms, [engine.reducer(divisor)], quotient)
-        if remainder:
-            raise InputError("polynomial is not an exact multiple")
-        return engine.unpack_terms(quotient, engine.field.div(unit_f, unit_g), scale)
-
-    return Polynomial(ring, _widening(ring, _width([f, g]), run))
+    return _Division(f.ring, [g])(f, quotient=True)
 
 
-def buchberger(generators, order=None, trace=None) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal the generators span.
+def buchberger(generators, *, trace=None) -> GroebnerBasis:
+    """Reduced Groebner basis, in the order of their ring, of the ideal the
+    generators span.
 
     The result is independent of generator permutation (reduced bases are
     unique).  ``trace``, when given, receives one line of text per pair
@@ -432,7 +430,6 @@ def buchberger(generators, order=None, trace=None) -> GroebnerBasis:
     gens = [g for g in gens if g]
     if not gens:
         raise InputError("all generators are zero")
-    work = _working_ring(ring, order)
     sent = 0  # trace lines passed on by attempts cut short by _Overflow
 
     def attempt(engine):
@@ -447,7 +444,7 @@ def buchberger(generators, order=None, trace=None) -> GroebnerBasis:
 
         return _complete(engine, gens, log if trace else None)
 
-    return _widening(work, _width(gens), attempt)
+    return _widening(ring, _width(gens), attempt)
 
 
 def _complete(engine, gens, trace) -> GroebnerBasis:

@@ -1,10 +1,13 @@
 """Ideal algebra on top of the Groebner engine.
 
-Intersections adjoin one fresh weight-1 variable t (appended, never
-prepended, and named with a ``t#`` prefix the parser cannot produce) and
-eliminate it: the t-free part of the reduced basis of t*I + (1-t)*J under
-a block order that makes t dominant is the reduced basis of the
-intersection.  Colon ideals split over the generators of the divisor
+Every ideal takes its Groebner basis in its ring's monomial order; another
+order means an ideal over ``ring.with_order(order)``.  Intersections adjoin
+one fresh weight-1 variable t (``PolyRing.extended``: appended, named with a
+``t#`` prefix the parser cannot produce, ordered by the ring's order
+extended by one column) and eliminate it: in the ring reordered by
+``elimination_order`` (the rows on t first, then the rows on the rest), the
+t-free part of the reduced basis of t*I + (1-t)*J is the reduced basis of
+the intersection.  Colon ideals split over the generators of the divisor
 ideal, each handled through I : g = (1/g)(I and (g)); the factors are
 intersected pairwise, level by level, as a balanced tree.  Dimension is the
 combinatorial dimension of the initial ideal: the largest set of
@@ -25,10 +28,10 @@ from .rings import Polynomial, PolyRing, monomial_divides, monomials_of_degree
 
 class Ideal:
     """An ideal given by generators, with a lazily cached reduced Groebner
-    basis per monomial order.
+    basis in the ring's monomial order.
 
-    The cache fill is idempotent (immutable values, at-most-once semantics
-    per key under the GIL), so Ideal values may be shared across threads.
+    The cache fill is idempotent (an immutable value, computed again at
+    worst under a race), so Ideal values may be shared across threads.
     """
 
     def __init__(self, ring: PolyRing, generators):
@@ -46,26 +49,20 @@ class Ideal:
             else:
                 raise InputError(f"cannot use {g!r} as an ideal generator")
         self.generators = tuple(gens)
-        self._gb_cache: dict = {}
+        self._basis = None
 
     # -- basics -------------------------------------------------------------
 
     def is_zero_ideal(self) -> bool:
         return all(not g for g in self.generators)
 
-    def groebner_basis(self, order=None) -> GroebnerBasis:
-        key = self.ring.order if order is None else order
-        cached = self._gb_cache.get(key)
-        if cached is None:
+    def groebner_basis(self) -> GroebnerBasis:
+        if self._basis is None:
             if self.is_zero_ideal():
-                cached = GroebnerBasis(self.ring, key, ())
+                self._basis = GroebnerBasis(self.ring, self.ring.order, ())
             else:
-                cached = buchberger(self.generators, order=key)
-            self._gb_cache[key] = cached
-        return cached
-
-    def _seed_basis(self, gb: GroebnerBasis):
-        self._gb_cache.setdefault(gb.order, gb)
+                self._basis = buchberger(self.generators)
+        return self._basis
 
     def contains(self, f: Polynomial) -> bool:
         return self.groebner_basis().contains(f)
@@ -121,16 +118,17 @@ class Ideal:
         t = ext.variable(ext.names[-1])
         one = ext.one()
 
+        # the orders of ring and ext agree on t-free monomials, so terms keep
+        # their order on the way in and on the way out
         def embed(f: Polynomial) -> Polynomial:
-            return ext.polynomial({m + (0,): c for m, c in f.terms})
+            return Polynomial(ext, tuple((m + (0,), c) for m, c in f.terms))
 
         gens = [t * embed(f) for f in self.generators if f]
         gens += [(one - t) * embed(g) for g in other.generators if g]
         meet = Ideal(ext, gens).eliminate([t])
-        # the orders of ring and ext agree on t-free monomials
         kept = [Polynomial(ring, tuple((m[:-1], c) for m, c in p.terms)) for p in meet.generators]
         result = Ideal(ring, kept)
-        result._seed_basis(GroebnerBasis(ring, ring.order, kept))
+        result._basis = GroebnerBasis(ring, ring.order, kept)
         return result
 
     # -- colon ideals ----------------------------------------------------------
@@ -184,8 +182,8 @@ class Ideal:
             return self
         if self.is_zero_ideal():
             return Ideal(ring, [])
-        order = elimination_order(ring.nvars, positions, ring.order)
-        gb = buchberger(self.generators, order=order)
+        work = ring.with_order(elimination_order(ring.nvars, positions, ring.order))
+        gb = Ideal(work, [work.polynomial(dict(g.terms)) for g in self.generators]).groebner_basis()
         kept = []
         for p in gb:
             if all(all(m[i] == 0 for i in positions) for m, _ in p.terms):

@@ -24,9 +24,18 @@ terminate in rings like k[Z1..Z9, Y] with Y of weight 0.
 
 from __future__ import annotations
 
-from operator import itemgetter, mul
+from operator import index, itemgetter, mul
 
 from .errors import InputError
+
+
+def integer_tuple(values, what: str) -> tuple:
+    """``values`` as a tuple of ints; an entry that is not an integer (a
+    float, a Fraction) raises InputError instead of being truncated."""
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        raise InputError(f"{what} must be integers") from None
 
 
 def _picker(positions):
@@ -49,7 +58,7 @@ class MatrixOrder:
 
     def __init__(self, name: str, rows):
         self.name = name
-        self.matrix = tuple(tuple(int(c) for c in row) for row in rows)
+        self.matrix = tuple(integer_tuple(row, "order matrix entries") for row in rows)
         self.nvars = len(self.matrix[0]) if self.matrix else 0
         if any(len(row) != self.nvars for row in self.matrix):
             raise InputError("order matrix rows must have equal length")
@@ -111,7 +120,7 @@ def GrevlexOrder(weights) -> MatrixOrder:
     Rows: the weights, the indicator of the weight-0 variables, then the
     negated unit vectors from the last variable to the first.
     """
-    weights = tuple(int(w) for w in weights)
+    weights = integer_tuple(weights, "monomial order weights")
     if any(w < 0 for w in weights):
         raise InputError("monomial order weights must be non-negative")
     n = len(weights)

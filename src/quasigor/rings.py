@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .errors import InputError, RingMismatchError
 from .fields import QQ, PrimeField, RationalField, field_label
-from .orders import GrevlexOrder
+from .orders import GrevlexOrder, integer_tuple
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +67,7 @@ class PolyRing:
         self.field = field
         if weights is None:
             weights = (1,) * len(names)
-        self.weights = tuple(int(w) for w in weights)
+        self.weights = integer_tuple(weights, "weights")
         if len(self.weights) != len(names):
             raise InputError("one weight per variable required")
         if any(w < 0 for w in self.weights):
@@ -375,10 +375,7 @@ def _convert_scalar(src_field, dst_field, c):
     if src_field == dst_field:
         return c
     if isinstance(src_field, RationalField):
-        from fractions import Fraction
-
-        q = Fraction(int(c.numerator), int(c.denominator))
-        return dst_field.scalar(q.numerator, q.denominator)
+        return dst_field.scalar(c.numerator, c.denominator)
     if isinstance(src_field, PrimeField):
         return dst_field.scalar(int(c))
     raise InputError("cannot convert scalars between these fields")

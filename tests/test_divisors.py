@@ -58,6 +58,16 @@ def test_floor_examples():
     assert three.degree() == -3
 
 
+def test_float_divisor_coefficients_are_refused():
+    # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10
+    p = CurvePoint.finite(0)
+    with pytest.raises(InputError, match="is a float"):
+        QDivisor({p: 0.1})
+    with pytest.raises(InputError, match="is a float"):
+        QDivisor({p: 1}).scaled(0.5)
+    assert QDivisor({p: "1/10"}).coefficient(p) == Fraction(1, 10)
+
+
 def test_floor_superadditive_randomized():
     rng = random.Random(67)
     for _ in range(40):

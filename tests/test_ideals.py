@@ -273,7 +273,7 @@ def test_groebner_cache_per_order(rxy):
     default = I.groebner_basis()
     again = I.groebner_basis()
     assert default is again  # cached
-    lex = I.groebner_basis(order=LexOrder(2))
+    lex = Ideal(rxy.with_order(LexOrder(2)), ["x^2-y", "x*y-1"]).groebner_basis()
     assert [str(p) for p in lex] == ["y^3 - 1", "x - y^2"]
 
 
