@@ -4,10 +4,19 @@ Division ("normal form") always cancels the largest remaining term against
 the first listed reducer whose leading monomial divides it, so remainders
 are reproducible.  The basis completion applies the coprime-leading-term
 criterion and the chain criterion while updating the pair set
-(Gebauer-Moeller style pruning), selects pairs by the normal strategy
-(minimal weighted degree of the lcm, ties broken by the monomial order on
-the lcm, then by pair indices), and finishes with full interreduction and
-monic normalization.  One routine interreduces both the seed generators
+(Gebauer-Moeller style pruning), selects pairs by the sugar strategy
+(Giovini, Mora, Niesi, Robbiano and Traverso, "One sugar cube, please",
+ISSAC 1991), and finishes with full interreduction and monic
+normalization.  Each element carries its ecart: its sugar minus the
+weighted degree of its leading monomial.  A seed's sugar is the largest
+weighted degree among its terms, a pair's sugar is the weighted degree of
+its lcm plus the larger ecart of its two elements, and a new element
+inherits the sugar of its pair.  The smallest sugar goes first, ties
+broken by the monomial order on the lcm, then by pair indices.  On
+weighted-homogeneous input every ecart is 0, so pairs go by the weighted
+degree of their lcm (the normal strategy).  Sugar does not cure every
+small lex elimination: some trinomial pairs in three variables still run
+for minutes.  One routine interreduces both the seed generators
 and the final basis: each element is reduced against all the others, in
 list order, and passes repeat until one moves no leading monomial.  The
 final elements already have pairwise non-dividing leading monomials, so
@@ -188,17 +197,28 @@ class _Engine:
         take_a = ge - (ge >> self.width)
         return (a & take_a) | (b & ~take_a)
 
-    def record(self, terms):
-        """(lm, lm exponent part, lm support, terms, reducer) of an element;
-        the support has the guard bit of each nonzero exponent set."""
+    def wdeg(self, p):
+        """Weighted degree of a packed monomial."""
+        return sum(map(mul, self.weights, self.unpack(p)))
+
+    def record(self, terms, sugar=None):
+        """(lm, lm exponent part, lm support, terms, reducer, ecart) of an
+        element; the support has the guard bit of each nonzero exponent
+        set, and the ecart is the sugar minus the weighted degree of the
+        lm.  A seed (``sugar`` None) has the largest weighted degree among
+        its terms as its sugar."""
         lm = terms[0][0]
         e = lm & self.emask
-        return (lm, e, ((e | self.guard) - self.ones) & self.guard, terms, self.reducer(terms))
+        if sugar is None:
+            sugar = max(self.wdeg(m) for m, _ in terms)
+        support = ((e | self.guard) - self.ones) & self.guard
+        return (lm, e, support, terms, self.reducer(terms), sugar - self.wdeg(lm))
 
-    def pair_key(self, lcm_e):
-        """(weighted degree, packed monomial) of an lcm's exponent part."""
+    def pair_key(self, lcm_e, ecart):
+        """(sugar, packed monomial) of a pair with this lcm exponent part
+        whose elements have at most this ecart."""
         m = self.unpack(lcm_e)
-        return sum(map(mul, self.weights, m)), self.pack(m)
+        return sum(map(mul, self.weights, m)) + ecart, self.pack(m)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -379,7 +399,7 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
         _, tf = engine.normalize(engine.pack_terms(f.terms))
         _, tg = engine.normalize(engine.pack_terms(g.terms))
         lcm_e = engine.lcm_exps(tf[0][0] & engine.emask, tg[0][0] & engine.emask)
-        _, lcm = engine.pair_key(lcm_e)
+        lcm = engine.pack(engine.unpack(lcm_e))
         acc = engine.spoly_dict(tf, tg, lcm)
         a, b = tf[0][1], tg[0][1]
         scale = a // gcd(a, b) * b
@@ -468,7 +488,7 @@ def _complete(engine, gens, trace) -> GroebnerBasis:
 
     n_zero = 0
     while pairs:
-        _, lcm, i, j, _ = heapq.heappop(pairs)
+        sugar, lcm, i, j, _ = heapq.heappop(pairs)
         if trace:
             trace(f"pair ({i},{j}) lcm={work.monomial_str(engine.unpack(lcm))}")
         s_dict = engine.spoly_dict(records[i][3], records[j][3], lcm)
@@ -480,7 +500,7 @@ def _complete(engine, gens, trace) -> GroebnerBasis:
             if trace:
                 trace("  -> reduced to 0")
             continue
-        records.append(engine.record(engine.normalize(remainder)[1]))
+        records.append(engine.record(engine.normalize(remainder)[1], sugar))
         new_idx = len(records) - 1
         if trace:
             lm = work.monomial_str(engine.unpack(records[new_idx][0]))
@@ -528,11 +548,11 @@ def _update_pairs(engine, records, current, pairs, new_idx):
 
     Applies the coprime-leading-term criterion and the chain criterion,
     processing candidates in deterministic (sorted index) order.  ``pairs``
-    is a heap of (weighted degree of lcm, lcm, i, j, lcm exponent part).
+    is a heap of (sugar, lcm, i, j, lcm exponent part).
     """
     guard = engine.guard
     lcm_exps = engine.lcm_exps
-    _, e_new, s_new, _, _ = records[new_idx]
+    _, e_new, s_new, _, _, ecart_new = records[new_idx]
 
     ordered = sorted(current)
     lcms = [lcm_exps(e_new, records[idx][1]) for idx in ordered]
@@ -547,7 +567,7 @@ def _update_pairs(engine, records, current, pairs, new_idx):
         below = ascending[: bisect_left(ascending, lcm)]
         if not all(map(guard.__and__, map(lcm.__sub__, below))):
             continue  # chain criterion: a proper divisor of lcm is an lcm
-        new_pairs.append(engine.pair_key(lcm) + (idx, new_idx, lcm))
+        new_pairs.append(engine.pair_key(lcm, max(records[idx][5], ecart_new)) + (idx, new_idx, lcm))
 
     kept = [
         rec

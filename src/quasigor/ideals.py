@@ -8,12 +8,13 @@ extended by one column) and eliminate it: in the ring reordered by
 ``elimination_order`` (the rows on t first, then the rows on the rest), the
 t-free part of the reduced basis of t*I + (1-t)*J is the reduced basis of
 the intersection.  Colon ideals split over the generators of the divisor
-ideal, each handled through I : g = (1/g)(I and (g)); the factors are
-intersected pairwise, level by level, as a balanced tree.  Dimension is the
-combinatorial dimension of the initial ideal: the largest set of
-variables meeting no leading-monomial support, found by exhaustive subset
-search.  That search is exponential in the variable count: it roughly
-doubles with each added variable and takes seconds at 20 variables.
+ideal, each handled through I : g = (1/g)(I and (g)), with I given by its
+reduced basis; the factors are intersected pairwise, level by level, as a
+balanced tree.  Dimension is the combinatorial dimension of the initial
+ideal: the largest set of variables meeting no leading-monomial support,
+found by exhaustive subset search.  That search is exponential in the
+variable count: it roughly doubles with each added variable and takes
+seconds at 20 variables.
 """
 
 from __future__ import annotations
@@ -135,7 +136,12 @@ class Ideal:
 
     def colon(self, other: "Ideal") -> "Ideal":
         """I : J = { f : f*J inside I }, as the intersection over the
-        generators g of J of (1/g)(I and (g))."""
+        generators g of J of (1/g)(I and (g)).
+
+        Each factor intersects the ideal of I's cached reduced basis, not of
+        its raw generators, with (g): the basis is needed anyway for the
+        membership test of g, and under lex the raw generators can swell a
+        single reduction to thousands of terms."""
         self._require_same_ring(other)
         ring = self.ring
         if other.is_zero_ideal():
@@ -152,7 +158,7 @@ class Ideal:
             seen.add(monic.terms)
             if gb_self.contains(g):
                 continue  # g already in I, so I : g is the unit ideal
-            meet = self.intersect(Ideal(ring, [g]))
+            meet = Ideal(ring, gb_self.polys).intersect(Ideal(ring, [g]))
             factors.append(Ideal(ring, [exact_quotient(f, g) for f in meet.generators]))
         if not factors:
             return Ideal(ring, [ring.one()])

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -270,11 +271,21 @@ def test_seed_interreduction_over_several_passes():
     ]
 
 
+# sha256 of the reduced bases of verify-quotient, call by call: ring names
+# and the str of each polynomial
+_QUOTIENT_RING_BASES = {
+    "F2": "ddb3ef6a2545f3e5b75daa8b4d70b175f40a48f6fcbfe2cb328c976bd837fa2c",
+    "Q": "1f061d8761674c6ada7627e0122bc2a2117e2ef494cb4cb90628702755b3bba8",
+}
+
+
 @pytest.mark.parametrize("field", ["F2", "Q"])
 def test_work_counters_on_the_quotient_ring(monkeypatch, field):
     # Pair selection order and pruning decide these counts; any change to
-    # either shows up here even when the bases stay the same.
+    # either shows up here even when the bases stay the same.  The digest
+    # of the bases does not depend on them: reduced bases are unique.
     counts = dict(calls=0, pairs=0, zero=0, new=0, basis=0)
+    digest = hashlib.sha256()
     engine_buchberger = ideals.buchberger
 
     def counting(generators, trace=None):
@@ -289,11 +300,13 @@ def test_work_counters_on_the_quotient_ring(monkeypatch, field):
         counts["calls"] += 1
         gb = engine_buchberger(generators, trace=count)
         counts["basis"] += len(gb)
+        digest.update(repr((gb.ring.names, [str(p) for p in gb])).encode())
         return gb
 
     monkeypatch.setattr(ideals, "buchberger", counting)
     verify_quotient_ring(field)
-    assert counts == dict(calls=46, pairs=2860, zero=2491, new=369, basis=804)
+    assert counts == dict(calls=46, pairs=2773, zero=2461, new=312, basis=804)
+    assert digest.hexdigest() == _QUOTIENT_RING_BASES[field]
 
 
 def test_membership_examples(rxy):

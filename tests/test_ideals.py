@@ -3,7 +3,7 @@ import random
 import pytest
 
 from quasigor.errors import InputError, RingMismatchError, UnsupportedRequestError
-from quasigor.fields import PrimeField
+from quasigor.fields import QQ, PrimeField
 from quasigor.ideals import Ideal, exact_quotient
 from quasigor.orders import GrevlexOrder, LexOrder, elimination_order
 from quasigor.parse import parse_ring
@@ -53,8 +53,9 @@ def _random_rings(rxyz):
     grevlex ring over the variables of rxyz."""
     lex = PolyRing(rxyz.names, order=LexOrder(3))
     weighted = PolyRing(rxyz.names, weights=(1, 0, 2))
-    # binomials on the lex and weight-0 rings: the lex elimination of
-    # random trinomial pairs can take minutes under normal pair selection
+    # binomials on the lex and weight-0 rings: some random trinomial pairs
+    # take minutes to intersect there, even with sugar pair selection
+    # (lex over F32003: cases 9, 15, 26, 38 and 55 of 60 from Random(43))
     return ((rxyz, 4), (lex, 2), (weighted, 2))
 
 
@@ -156,6 +157,70 @@ def test_colon_is_intersection_of_principal_colons_randomized(rxyz):
             for f in quotient.generators:
                 for g in J.generators:
                     assert I.contains(f * g)
+
+
+# Small inputs that once ran for minutes.  Each finishes in at most a few
+# seconds under sugar pair selection, or, for the colon, with factors
+# seeded by the reduced basis.  Left out: the elimination-order
+# intersection over Q, which takes about 4.5 s, more than all of these
+# together; its F32003 twin below runs the same 114 pairs, and the cubics
+# cover coefficient growth over Q.
+F32003 = PrimeField(32003)
+
+
+@pytest.mark.parametrize("field", [QQ, F32003], ids=["Q", "F32003"])
+def test_lex_intersection_of_trinomials_finishes(field):
+    ring = PolyRing(("x", "y", "z"), field=field, order=LexOrder(3))
+    I = Ideal(ring, ["5*x^2*y - 4*y^3 - y*z", "2*y*z + 1"])
+    J = Ideal(ring, ["-4*x*z - 3*y^3 + 2", "-x*y^2 + 5*y^2"])
+    meet = I.intersect(J)
+    for g in meet.generators:
+        assert I.contains(g) and J.contains(g)
+    for g in (I * J).generators:
+        assert meet.contains(g)
+
+
+def test_block_order_cubics_over_q_finish():
+    names = ("x", "y", "z")
+    cubics = ["-x*z + z^3", "-2*x*y*z - 2*x^2 + 3*x", "2*y^2*z + 3*x*y*z + 3*x^3"]
+    weights = (1, 2, 0)
+    ring = PolyRing(names, weights=weights, order=elimination_order(3, [0, 2], GrevlexOrder(weights)))
+    gb = Ideal(ring, cubics).groebner_basis()
+    # two-way containment against the basis of the same ideal in grevlex
+    grevlex = PolyRing(names, weights=weights)
+    other = Ideal(grevlex, cubics).groebner_basis()
+    for g in cubics:
+        assert gb.contains(ring.parse(g))
+    for p in gb:
+        assert other.contains(grevlex.polynomial(dict(p.terms)))
+    for p in other:
+        assert gb.contains(ring.polynomial(dict(p.terms)))
+
+
+def test_elimination_order_intersection_over_f32003_finishes():
+    weights = (1, 2, 0)
+    order = elimination_order(3, [0], GrevlexOrder(weights))
+    ring = PolyRing(("x", "y", "z"), field=F32003, weights=weights, order=order)
+    I = Ideal(ring, ["-x*y*z - x*y", "3*x*y*z + 3*y*z - x"])
+    J = Ideal(ring, ["y + 3*x - 2*z", "-3*y^2 - 4*x*z - 1"])
+    meet = I.intersect(J)
+    for g in meet.generators:
+        assert I.contains(g) and J.contains(g)
+    for g in (I * J).generators:
+        assert meet.contains(g)
+
+
+@pytest.mark.parametrize("field", [QQ, F32003], ids=["Q", "F32003"])
+def test_lex_colon_by_unit_ideal_finishes(field):
+    # the divisor contains the unit -3, so I : J = I
+    ring = PolyRing(("x", "y", "z"), field=field, order=LexOrder(3))
+    I = Ideal(ring, ["-x*y*z - 3*x*z", "4*x*y^2 + 1", "3*y^2*z"])
+    J = Ideal(ring, ["-3", "-2*y + 4*z + 2"])
+    quotient = I.colon(J)
+    assert quotient == I
+    for f in quotient.generators:
+        for g in J.generators:
+            assert I.contains(f * g)
 
 
 def test_eliminate_examples(rxyz):
