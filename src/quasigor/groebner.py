@@ -373,15 +373,6 @@ def _width(polys) -> int:
     return max(_MIN_WIDTH, top.bit_length() + 1)
 
 
-def _widening(ring: PolyRing, width: int, task):
-    """``task(engine)``, redone with fields twice as wide while it overflows."""
-    while True:
-        try:
-            return task(_Engine(ring, width))
-        except _Overflow:
-            width *= 2
-
-
 def _common_ring(polys) -> PolyRing:
     rings = {f.ring for f in polys}
     if len(rings) != 1:
@@ -390,23 +381,20 @@ def _common_ring(polys) -> PolyRing:
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
-    """lcm-cancellation of the leading terms of two nonzero polynomials."""
+    """lcm-cancellation of the leading terms of two nonzero polynomials,
+    ``m/lm(f) * f/lc(f) - m/lm(g) * g/lc(g)`` for m the lcm of the leading
+    monomials.  Plain polynomial arithmetic, sharing no code with the
+    engine, so S-closure checks of its bases are independent of it."""
     if not f or not g:
         raise InputError("S-polynomials need nonzero inputs")
     ring = _common_ring([f, g])
+    m = tuple(map(max, f.leading_monomial(), g.leading_monomial()))
 
-    def run(engine):
-        _, tf = engine.normalize(engine.pack_terms(f.terms))
-        _, tg = engine.normalize(engine.pack_terms(g.terms))
-        lcm_e = engine.lcm_exps(tf[0][0] & engine.emask, tg[0][0] & engine.emask)
-        lcm = engine.pack(engine.unpack(lcm_e))
-        acc = engine.spoly_dict(tf, tg, lcm)
-        a, b = tf[0][1], tg[0][1]
-        scale = a // gcd(a, b) * b
-        scalar = ring.field.scalar
-        return {engine.unpack(m): scalar(c, scale) for m, c in acc.items()}
+    def shifted(p):
+        q = tuple(a - b for a, b in zip(m, p.leading_monomial()))
+        return p * ring.polynomial({q: ring.field.inv(p.leading_coefficient())})
 
-    return ring.polynomial(_widening(ring, _width([f, g]), run))
+    return shifted(f) - shifted(g)
 
 
 def normal_form(f: Polynomial, basis) -> Polynomial:
@@ -450,21 +438,22 @@ def buchberger(generators, *, trace=None) -> GroebnerBasis:
     gens = [g for g in gens if g]
     if not gens:
         raise InputError("all generators are zero")
-    sent = 0  # trace lines passed on by attempts cut short by _Overflow
+    seen = sent = 0  # trace lines of this attempt; lines already passed on by earlier ones
 
-    def attempt(engine):
+    def log(line):
+        nonlocal seen, sent
+        seen += 1
+        if seen > sent:
+            sent = seen
+            trace(line)
+
+    width = _width(gens)
+    while True:
         seen = 0
-
-        def log(line):
-            nonlocal seen, sent
-            seen += 1
-            if seen > sent:
-                sent = seen
-                trace(line)
-
-        return _complete(engine, gens, log if trace else None)
-
-    return _widening(ring, _width(gens), attempt)
+        try:
+            return _complete(_Engine(ring, width), gens, log if trace else None)
+        except _Overflow:
+            width *= 2
 
 
 def _complete(engine, gens, trace) -> GroebnerBasis:

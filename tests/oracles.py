@@ -1,10 +1,10 @@
 """Independent oracles used by the test suite.
 
 These deliberately avoid the code paths they check: membership is decided
-by a degree-bounded exact linear system, dimension by a subset search in
-the opposite enumeration order, complete-intersection Hilbert functions
-by generating-function coefficient extraction, and point multiplicities
-by repeated exact division.
+by a degree-bounded exact linear system, dimension by a scan of every
+variable subset (the library branches and bounds), complete-intersection
+Hilbert functions by generating-function coefficient extraction, and point
+multiplicities by repeated exact division.
 """
 
 from __future__ import annotations
@@ -59,8 +59,8 @@ def membership_by_linear_algebra(f: Polynomial, generators, slack: int = 3) -> b
 
 
 def dimension_by_subset_scan(leading_monomials, nvars: int) -> int:
-    """Dimension oracle enumerating subsets smallest-first (the library goes
-    largest-first), tracking the best independent set seen."""
+    """Dimension oracle enumerating all 2^nvars subsets, tracking the largest
+    one that contains no leading-monomial support."""
     supports = [frozenset(i for i, e in enumerate(lm) if e) for lm in leading_monomials]
     best = -1
     for code in range(2**nvars):

@@ -195,15 +195,30 @@ def test_verify_quotient_f2_matches_reference(capsys):
     assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == reference
 
 
-def test_python_dash_m_from_a_checkout():
+def run_module(argv, timeout):
+    """``python -m quasigor`` on this checkout's sources, in a fresh process."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-m", "quasigor", "--help"],
-        env=env, capture_output=True, text=True, timeout=60,
+    return subprocess.run(
+        [sys.executable, "-m", "quasigor", *argv],
+        env=env, capture_output=True, text=True, timeout=timeout,
     )
+
+
+def test_python_dash_m_from_a_checkout():
+    done = run_module(["--help"], timeout=60)
     assert done.returncode == 0, done.stderr
     assert "verify-counterexample" in done.stdout
+
+
+def test_dimension_of_thirty_variables_answers_at_once(tmp_path):
+    ring = tmp_path / "ring.txt"
+    ring.write_text("field Q; vars x1..x30\n")
+    ideal = tmp_path / "ideal.txt"
+    ideal.write_text("".join(f"x{i}\n" for i in range(1, 31)))
+    # a timeout, so that a slow search fails here instead of holding the suite
+    done = run_module(["ideal", "dim", "--ring", str(ring), str(ideal)], timeout=30)
+    assert (done.returncode, done.stdout.strip()) == (0, "0"), done.stderr
 
 
 def test_verify_quotient_experimental_field(capsys, schema):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from quasigor import ideals
 from quasigor.errors import InputError, RingMismatchError, UnsupportedRequestError
 from quasigor.fields import QQ, PrimeField
 from quasigor.ideals import Ideal, exact_quotient
@@ -240,6 +241,18 @@ def test_eliminate_examples(rxyz):
         parabola.eliminate(["missing"])
 
 
+def test_eliminate_keeps_its_reduced_basis(monkeypatch):
+    calls = []
+    run = ideals.buchberger
+    monkeypatch.setattr(ideals, "buchberger", lambda gens: calls.append(1) or run(gens))
+    R = parse_ring("field Q; vars x,y,z")
+    out = Ideal(R, ["x - y^2", "y - z^3"]).eliminate(["y"])
+    basis = out.groebner_basis()
+    assert len(calls) == 1
+    assert basis == run(out.generators)
+    assert [str(p) for p in basis] == ["z^6 - x"]
+
+
 def test_dimension_examples(rxyz):
     assert Ideal(rxyz, ["x*y", "x*z"]).dimension() == 2
     ten = parse_ring("field Q; vars a1..a10")
@@ -264,6 +277,32 @@ def test_dimension_matches_subset_oracle_randomized():
             ideal.groebner_basis().leading_monomials(), 4
         )
         assert ideal.dimension() == expected
+    # wider rings: random monomials, and edge ideals of random graphs
+    rng = random.Random(59)
+    for case in range(40):
+        n = rng.randint(6, 12)
+        ring = PolyRing(tuple(f"x{i}" for i in range(n)))
+        monomials = []
+        if case % 2:
+            for a, b in rng.sample([(a, b) for a in range(n) for b in range(a + 1, n)], rng.randint(1, 2 * n)):
+                m = [0] * n
+                m[a] = m[b] = 1
+                monomials.append(ring.polynomial({tuple(m): ring.field.one}))
+        else:
+            for _ in range(rng.randint(1, n)):
+                m = [0] * n
+                for _ in range(rng.randint(1, 4)):
+                    m[rng.randrange(n)] += 1
+                monomials.append(ring.polynomial({tuple(m): ring.field.one}))
+        ideal = Ideal(ring, monomials)
+        expected = dimension_by_subset_scan(ideal.groebner_basis().leading_monomials(), n)
+        assert ideal.dimension() == expected
+
+
+def test_dimension_of_wide_monomial_ideals():
+    ring = parse_ring("field Q; vars x1..x30")
+    assert Ideal(ring, [f"x{i}" for i in range(1, 31)]).dimension() == 0
+    assert Ideal(ring, [f"x{i}*x{i + 1}" for i in range(1, 31, 2)]).dimension() == 15
 
 
 def test_hilbert_function_examples(rxyz):
