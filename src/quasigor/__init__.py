@@ -25,7 +25,6 @@ from .groebner import (
     GroebnerBasis,
     buchberger,
     exact_quotient,
-    ideal_membership,
     normal_form,
     s_polynomial,
 )
@@ -96,7 +95,6 @@ __all__ = [
     "generator_degrees",
     "h0",
     "h1",
-    "ideal_membership",
     "is_quasi_gorenstein",
     "is_unmixed",
     "minimal_generator_count",

@@ -14,7 +14,8 @@ denominator).  The product of sections f_i of O(floor(d_i*D)) to the
 powers e_i has the form prod f_i^(e_i) * prod_p ell_p^(floor(n*D)_p -
 sum_i e_i*floor(d_i*D)_p) at level n = sum e_i*d_i, with exponents >= 0
 since floors are superadditive.  So each level of the section ring is
-the forms of one degree, and one row reduction gives its new generators.
+the forms of one degree, and one row reduction gives its new generators
+and its new relations.
 
 A second, fixed cohomology table covers the degree-3 polarization of an
 elliptic curve (h0 = 1, 3n for n = 0, n >= 1; h1(n) = h0(-n)); this is a
@@ -33,8 +34,9 @@ from fractions import Fraction
 from . import linalg
 from .errors import InputError, ParseError, UnsupportedRequestError
 from .fields import QQ
+from .groebner import buchberger
 from .parse import Token, _TokenStream, tokenize
-from .rings import Polynomial, PolyRing, monomials_of_degree
+from .rings import Polynomial, PolyRing, monomial_divides, monomials_of_degree
 
 #: Homogeneous coordinate ring of P^1 used for section numerators.
 P1_RING = PolyRing(("w", "z"), QQ)
@@ -215,12 +217,15 @@ def generator_degrees(divisor: QDivisor, degree_bound: int):
     ring and for minimal relations among them.
 
     Returns (generator degree multiset, relation degree multiset) as sorted
-    tuples.  At level n, one ``linalg.dependencies`` over the products of
-    earlier generators and the monomials w^(deg-i)*z^i of degree
-    deg = deg floor(n*D) gives the new generators (the monomials outside
-    the span of the products) and the relations among the products; those
-    outside the span of the lifted earlier relations are new.  For
-    deg D < 0 the section ring is k and both tuples are empty.
+    tuples.  The relations found so far are kept as a reduced Groebner
+    basis in k[T0..], one variable per generator weighted by its degree.
+    At level n, one ``linalg.dependencies`` over the products for the
+    degree-n monomials in the T that are standard for that basis and the
+    monomials w^(deg-i)*z^i of degree deg = deg floor(n*D) gives the new
+    generators (the monomials outside the span of the products) and the
+    new minimal relations (every relation among the products, since
+    standard monomials stay independent modulo the earlier relations).
+    For deg D < 0 the section ring is k and both tuples are empty.
     """
     if degree_bound < 1:
         raise InputError("degree bound must be at least 1")
@@ -229,39 +234,45 @@ def generator_degrees(divisor: QDivisor, degree_bound: int):
     field = P1_RING.field
     w, z = P1_RING.gens()
     generators = []  # (degree, form, floor of degree*D)
-    relations = []  # (degree, coefficient vector, exponent list at that degree)
+    relations = []  # (degree, {exponent tuple: coefficient})
+    leading = ()  # leading monomials of the reduced basis of the relations
 
     for n in range(1, degree_bound + 1):
         floored = divisor.floor_multiple(n)
         deg = int(floored.degree())
         monomials = [w ** (deg - i) * z**i for i in range(deg + 1)]
-        exponents = monomials_of_degree([d for d, _, _ in generators], n)
+        exponents = [
+            e
+            for e in monomials_of_degree([d for d, _, _ in generators], n)
+            if not any(monomial_divides(m, e) for m in leading)
+        ]
         products = [_product(generators, e, floored) for e in exponents]
         vectors = linalg.coefficient_vectors(products + monomials, field)
         pivots, kernel = linalg.dependencies(vectors, field)
-        picked = [i - len(products) for i in pivots if i >= len(products)]
         # the product relations come first and are zero past their own column
-        free = len(products) - len(pivots) + len(picked)
-        kernel = [vec[: len(products) + len(picked)] for vec in kernel[:free]]
-        # a degree-n generator's only degree-n product is itself
-        width = len(generators) + len(picked)
-        exponents = [e + (0,) * len(picked) for e in exponents]
-        for i in picked:
-            exponents.append(tuple(int(k == len(generators)) for k in range(width)))
-            generators.append((n, monomials[i], floored))
-
-        if kernel:
-            index = {e: i for i, e in enumerate(exponents)}
-            lifted = _lift_relations(relations, generators, n, index, field)
-            for i in linalg.independent(lifted + kernel, field):
-                if i >= len(lifted):
-                    relations.append((n, kernel[i - len(lifted)], exponents))
+        free = len(products) - sum(i < len(products) for i in pivots)
+        for vec in kernel[:free]:
+            relations.append((n, {e: c for e, c in zip(exponents, vec) if c}))
+        for i in pivots:
+            if i >= len(products):
+                generators.append((n, monomials[i - len(products)], floored))
+        # an appended variable leaves weighted grevlex unchanged on the old
+        # monomials, and monomial_divides reads a shorter tuple as padded
+        # with zeros, so only new relations call for a new basis
+        if free:
+            weights = [d for d, _, _ in generators]
+            ring = PolyRing([f"T{i}" for i in range(len(weights))], field, weights)
+            polys = [
+                ring.polynomial({e + (0,) * (len(weights) - len(e)): c for e, c in rel.items()})
+                for _, rel in relations
+            ]
+            leading = buchberger(polys).leading_monomials()
 
     if not generators:  # no level up to the bound has a section
         warnings.warn("degree bound too small to see any section", stacklevel=2)
         return (), ()
     gen_degrees = tuple(sorted(d for d, _, _ in generators))
-    rel_degrees = tuple(sorted(d for d, _, _ in relations))
+    rel_degrees = tuple(sorted(d for d, _ in relations))
     return gen_degrees, rel_degrees
 
 
@@ -276,23 +287,6 @@ def _product(generators, exponents, floored: QDivisor) -> Polynomial:
     if any(c < 0 for c in short.coefficients.values()):
         raise AssertionError("floor superadditivity violated")
     return _prime_product(product, short.coefficients.items())
-
-
-def _lift_relations(relations, generators, n, index, field):
-    """Degree-n vectors spanned by earlier relations times generator
-    monomials."""
-    lifted = []
-    for degree, vec, exponents in relations:
-        for shift in monomials_of_degree([d for d, _, _ in generators], n - degree):
-            row = [field.zero] * len(index)
-            for e, coeff in zip(exponents, vec):
-                if coeff:
-                    combined = tuple(a + b for a, b in zip(e, shift))
-                    # exponent tuples may be shorter if generators appeared later
-                    combined = combined + shift[len(e):]
-                    row[index[combined]] = field.add(row[index[combined]], coeff)
-            lifted.append(row)
-    return lifted
 
 
 # ---------------------------------------------------------------------------

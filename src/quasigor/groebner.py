@@ -571,11 +571,3 @@ def _update_pairs(engine, records, current, pairs, new_idx):
     new_current = [idx for idx in current if (records[idx][1] - e_new) & guard]
     new_current.append(new_idx)
     return new_current, kept
-
-
-def ideal_membership(f: Polynomial, basis) -> bool:
-    """True iff f reduces to zero against the (computed) Groebner basis.
-    Raises RingMismatchError when f has other variables or another field."""
-    if isinstance(basis, GroebnerBasis):
-        return basis.contains(f)
-    return buchberger(list(basis)).contains(f)

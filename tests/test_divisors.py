@@ -1,3 +1,4 @@
+import hashlib
 import random
 import warnings
 from fractions import Fraction
@@ -270,6 +271,26 @@ def test_generator_degrees_many_generators_and_relations():
         (1, 2, 2, 3, 4, 4, 5, 5),
         (4, 4, 5, 5, 6, 6, 6, 6, 6, 7, 7, 7, 7, 7, 8, 8, 8),
     )
+    # nothing new at levels 11 and 12
+    assert generator_degrees(divisor, 12) == (
+        (1, 2, 2, 3, 4, 4, 5, 5),
+        (4, 4, 5, 5, 6, 6, 6, 6, 6, 7, 7, 7, 7, 7, 8, 8, 8, 9, 9, 9, 10),
+    )
+
+
+def test_generator_degrees_pinned_randomized():
+    # rings of every shape, not only hypersurfaces: sha256 of the degrees
+    # of 100 random divisors as the row reduction over all lifted earlier
+    # relations computed them
+    rng = random.Random(2026)
+    results = []
+    for _ in range(100):
+        divisor = random_fractional_divisor(rng)
+        bound = rng.randint(4, 10)
+        results.append((str(divisor), bound, generator_degrees(divisor, bound)))
+    assert sum(len(rels) > 1 for _, _, (_, rels) in results) >= 10
+    digest = hashlib.sha256(str(results).encode()).hexdigest()
+    assert digest == "f6cbfd97277014f1df114aa5ffa8654a1094efd02938a5954fd24c160b4ab1c9"
 
 
 def test_generator_degrees_warns_when_bound_too_small():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from quasigor import groebner, ideals
 from quasigor.errors import InputError, RingMismatchError
 from quasigor.fields import QQ, PrimeField
-from quasigor.groebner import buchberger, exact_quotient, ideal_membership, normal_form, s_polynomial
+from quasigor.groebner import buchberger, exact_quotient, normal_form, s_polynomial
 from quasigor.linkage import verify_quotient_ring
 from quasigor.orders import LexOrder, elimination_order
 from quasigor.parse import parse_ring
@@ -47,7 +47,7 @@ def test_normal_form_examples(rxy):
     # substituting x = y in x^2 + y^2 leaves 2y^2; remainder checked by division
     r = normal_form(x**2 + y**2, [x - y])
     assert r == 2 * y**2
-    assert ideal_membership(x**2 + y**2 - r, [x - y])
+    assert buchberger([x - y]).contains(x**2 + y**2 - r)
 
 
 def test_normal_form_idempotent_randomized(rxy):
@@ -311,10 +311,10 @@ def test_work_counters_on_the_quotient_ring(monkeypatch, field):
 
 def test_membership_examples(rxy):
     x, y = rxy.gens()
-    assert ideal_membership(x, [x])
+    assert buchberger([x]).contains(x)
     gens = [rxy.parse("x^2-y"), rxy.parse("x*y-1"), rxy.parse("x-y^2")]
-    assert ideal_membership(rxy.parse("y^3-1"), gens)
-    assert not ideal_membership(rxy.one(), gens)
+    assert buchberger(gens).contains(rxy.parse("y^3-1"))
+    assert not buchberger(gens).contains(rxy.one())
 
 
 def test_membership_agrees_with_linear_algebra_oracle():
@@ -377,13 +377,11 @@ def test_membership_rejects_polynomial_from_other_ring(rxy):
     other = PolyRing(("a", "b", "c"))
     x, _ = rxy.gens()
     with pytest.raises(RingMismatchError):
-        ideal_membership(other.parse("a"), [x])
-    with pytest.raises(RingMismatchError):
-        ideal_membership(other.parse("a"), buchberger([x]))
+        buchberger([x]).contains(other.parse("a"))
 
 
 def test_f2_basis_runs():
     R = PolyRing(("x", "y"), PrimeField(2))
     gb = buchberger([R.parse("x^2+y"), R.parse("x*y+1")])
     assert_spoly_closure(gb)
-    assert ideal_membership(R.parse("y^3+1"), list(gb.polys))
+    assert gb.contains(R.parse("y^3+1"))
