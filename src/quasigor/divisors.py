@@ -14,8 +14,8 @@ denominator).  The product of sections f_i of O(floor(d_i*D)) to the
 powers e_i has the form prod f_i^(e_i) * prod_p ell_p^(floor(n*D)_p -
 sum_i e_i*floor(d_i*D)_p) at level n = sum e_i*d_i, with exponents >= 0
 since floors are superadditive.  So each level of the section ring is
-the forms of one degree, and one row reduction gives its new generators
-and its new relations.
+the forms of one degree, and one ``linalg.dependencies`` elimination
+gives its new generators and its new relations.
 
 A second, fixed cohomology table covers the degree-3 polarization of an
 elliptic curve (h0 = 1, 3n for n = 0, n >= 1; h1(n) = h0(-n)); this is a
@@ -107,9 +107,13 @@ class QDivisor:
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coefficients.values())
 
+    def floors(self, n: int):
+        """Coefficients of floor(n*D) as ints, in support order."""
+        return tuple(n * c.numerator // c.denominator for c in self.coefficients.values())
+
     def floor_multiple(self, n: int) -> "QDivisor":
         """Coefficient-wise floor of n*D (an integral divisor)."""
-        return QDivisor({p: Fraction(_floor(n * c)) for p, c in self.coefficients.items()})
+        return QDivisor(zip(self.support, self.floors(n)))
 
     def __add__(self, other: "QDivisor") -> "QDivisor":
         acc = dict(self.coefficients)
@@ -145,10 +149,6 @@ class QDivisor:
 
     def __repr__(self):
         return f"QDivisor({self})"
-
-
-def _floor(q: Fraction) -> int:
-    return q.numerator // q.denominator
 
 
 def h0(divisor: QDivisor) -> int:
@@ -233,20 +233,21 @@ def generator_degrees(divisor: QDivisor, degree_bound: int):
         return (), ()
     field = P1_RING.field
     w, z = P1_RING.gens()
-    generators = []  # (degree, form, floor of degree*D)
+    points = divisor.support
+    generators = []  # (degree, form, floors of degree*D)
     relations = []  # (degree, {exponent tuple: coefficient})
     leading = ()  # leading monomials of the reduced basis of the relations
 
     for n in range(1, degree_bound + 1):
-        floored = divisor.floor_multiple(n)
-        deg = int(floored.degree())
+        floors = divisor.floors(n)
+        deg = sum(floors)
         monomials = [w ** (deg - i) * z**i for i in range(deg + 1)]
         exponents = [
             e
             for e in monomials_of_degree([d for d, _, _ in generators], n)
             if not any(monomial_divides(m, e) for m in leading)
         ]
-        products = [_product(generators, e, floored) for e in exponents]
+        products = [_product(generators, e, points, floors) for e in exponents]
         vectors = linalg.coefficient_vectors(products + monomials, field)
         pivots, kernel = linalg.dependencies(vectors, field)
         # the product relations come first and are zero past their own column
@@ -255,7 +256,7 @@ def generator_degrees(divisor: QDivisor, degree_bound: int):
             relations.append((n, {e: c for e, c in zip(exponents, vec) if c}))
         for i in pivots:
             if i >= len(products):
-                generators.append((n, monomials[i - len(products)], floored))
+                generators.append((n, monomials[i - len(products)], floors))
         # an appended variable leaves weighted grevlex unchanged on the old
         # monomials, and monomial_divides reads a shorter tuple as padded
         # with zeros, so only new relations call for a new basis
@@ -276,17 +277,18 @@ def generator_degrees(divisor: QDivisor, degree_bound: int):
     return gen_degrees, rel_degrees
 
 
-def _product(generators, exponents, floored: QDivisor) -> Polynomial:
-    """Form of a product of generator sections at the level of ``floored``:
-    prod f_i^(e_i) times ell_p^(floored_p - sum_i e_i*floor(d_i*D)_p)."""
-    product, short = P1_RING.one(), floored
-    for (_, form, floors), e in zip(generators, exponents):
+def _product(generators, exponents, points, floors) -> Polynomial:
+    """Form of a product of generator sections at the level whose floors
+    at ``points`` are ``floors``: prod f_i^(e_i) times
+    ell_p^(floors_p - sum_i e_i*floor(d_i*D)_p)."""
+    product, short = P1_RING.one(), list(floors)
+    for (_, form, gen_floors), e in zip(generators, exponents):
         if e:
             product = product * form**e
-            short = short - floors.scaled(e)
-    if any(c < 0 for c in short.coefficients.values()):
+            short = [s - e * f for s, f in zip(short, gen_floors)]
+    if any(s < 0 for s in short):
         raise AssertionError("floor superadditivity violated")
-    return _prime_product(product, short.coefficients.items())
+    return _prime_product(product, zip(points, short))
 
 
 # ---------------------------------------------------------------------------

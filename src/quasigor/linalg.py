@@ -1,9 +1,12 @@
 """Dense exact linear algebra over the package's coefficient fields.
 
-Matrices are lists of rows of field scalars.  Everything is fraction-free
-only in the sense of being exact; no pivoting heuristics are needed
-because there is no rounding.  Sizes here stay small (tens of rows by a
-few hundred columns), so plain Gaussian elimination is the right tool.
+One elimination, ``dependencies``, serves every caller.  Each vector is
+reduced against the echelon rows of the earlier independent vectors; a
+row carries the combination of inputs it equals as identity tags past
+its last entry.  Rows are kept in the field's ``normalize`` form, as the
+Groebner engine keeps its elements: primitive integer rows over Q, so
+elimination cross-multiplies Python ints, and monic rows over F_p.
+Exact field values are built only for the relations that leave.
 
 Polynomials enter as coefficient vectors over their joint monomial
 support.  ``independent`` gives the indices of the vectors outside the
@@ -15,65 +18,55 @@ relation for each other vector (the section-ring search in ``divisors``).
 from __future__ import annotations
 
 
-def row_reduce(rows, field):
-    """Reduced row echelon form. Returns (rref_rows, pivot_columns).
-
-    The input rows are not modified.
-    """
-    matrix = [list(r) for r in rows]
-    if not matrix:
-        return [], []
-    ncols = len(matrix[0])
-    pivots = []
-    pivot_row = 0
-    for col in range(ncols):
-        found = None
-        for r in range(pivot_row, len(matrix)):
-            if matrix[r][col]:
-                found = r
+def dependencies(vectors, field):
+    """(pivots, relations): the ascending indices of the vectors outside
+    the span of the earlier ones, and for each other vector, in increasing
+    order, the relation writing it through the earlier pivot vectors, with
+    a 1 at its index and zeros past it."""
+    width = len(vectors[0]) if vectors else 0
+    mul, sub = field.mul, field.sub
+    rows = {}  # leading column -> echelon row, as normal-form (column, entry) terms
+    pivots, relations = [], []
+    for j, vec in enumerate(vectors):
+        terms = [(k, c) for k, c in enumerate(vec) if c]
+        terms.append((width + j, 1))
+        while True:
+            terms = field.normalize(terms)[1]
+            lead, a = terms[0]
+            row = rows.get(lead)
+            if row is None:
                 break
-        if found is None:
-            continue
-        matrix[pivot_row], matrix[found] = matrix[found], matrix[pivot_row]
-        inv = field.inv(matrix[pivot_row][col])
-        matrix[pivot_row] = [field.mul(inv, x) for x in matrix[pivot_row]]
-        for r in range(len(matrix)):
-            if r != pivot_row and matrix[r][col]:
-                factor = matrix[r][col]
-                matrix[r] = [
-                    field.sub(x, field.mul(factor, y))
-                    for x, y in zip(matrix[r], matrix[pivot_row])
-                ]
-        pivots.append(col)
-        pivot_row += 1
-        if pivot_row == len(matrix):
-            break
-    return matrix, pivots
+            b = row[0][1]
+            # cross-multiply: b*terms - a*row cancels the leading entry
+            acc = {k: mul(b, c) for k, c in terms}
+            for k, c in row:
+                acc[k] = sub(acc.get(k, 0), mul(a, c))
+            terms = sorted((k, c) for k, c in acc.items() if c)
+        if lead < width:
+            rows[lead] = terms
+            pivots.append(j)
+        else:  # only tags are left, the last one its own: sum of tag * vector is zero
+            own = terms[-1][1]
+            relation = [field.zero] * len(vectors)
+            for k, c in terms:
+                relation[k - width] = field.div(c, own)
+            relations.append(relation)
+    return pivots, relations
+
+
+def independent(vectors, field):
+    """Ascending indices of the vectors outside the span of the earlier
+    ones.  Their number is the rank."""
+    return dependencies(vectors, field)[0]
 
 
 def rank(rows, field) -> int:
-    return len(row_reduce(rows, field)[1])
+    return len(independent(rows, field))
 
 
 def kernel_basis(rows, field):
     """Basis of the right kernel {x : A x = 0}: the relations among the columns."""
-    return dependencies([list(col) for col in zip(*rows)], field)[1]
-
-
-def dependencies(vectors, field):
-    """(pivots, relations) from one row reduction with the vectors as
-    columns: the pivots of ``independent``, and for each other vector, in
-    increasing order, the relation writing it through the earlier pivot
-    vectors, with a 1 at its index and zeros past it."""
-    rref, pivots = row_reduce([list(col) for col in zip(*vectors)], field)
-    relations = []
-    for j in sorted(set(range(len(vectors))) - set(pivots)):
-        vec = [field.zero] * len(vectors)
-        vec[j] = field.one
-        for row, col in zip(rref, pivots):
-            vec[col] = field.neg(row[j])
-        relations.append(vec)
-    return pivots, relations
+    return dependencies(list(zip(*rows)), field)[1]
 
 
 def coefficient_vectors(polys, field):
@@ -88,10 +81,3 @@ def coefficient_vectors(polys, field):
             row[column[m]] = c
         vectors.append(row)
     return vectors
-
-
-def independent(vectors, field):
-    """Ascending indices of the vectors outside the span of the earlier
-    ones: the pivot columns of the matrix with the vectors as columns.
-    Their number is the rank."""
-    return row_reduce([list(col) for col in zip(*vectors)], field)[1]

@@ -1,7 +1,9 @@
 """Independent oracles used by the test suite.
 
 These deliberately avoid the code paths they check: membership is decided
-by a degree-bounded exact linear system, dimension by a scan of every
+by a degree-bounded exact linear system, ranks by a reduced row echelon
+form over field inverses (the library eliminates fraction-free, without
+inverses), dimension by a scan of every
 variable subset (the library branches and bounds), complete-intersection
 Hilbert functions by generating-function coefficient extraction, and point
 multiplicities by repeated exact division.
@@ -11,7 +13,6 @@ from __future__ import annotations
 
 from math import comb
 
-from quasigor import linalg
 from quasigor.errors import InputError
 from quasigor.ideals import exact_quotient
 from quasigor.rings import Polynomial, monomial_mul
@@ -54,8 +55,64 @@ def membership_by_linear_algebra(f: Polynomial, generators, slack: int = 3) -> b
     target = [field.zero] * len(support)
     for m, c in f.terms:
         target[index[m]] = c
-    base_rank = linalg.rank(rows, field)
-    return linalg.rank(rows + [target], field) == base_rank
+    base_rank = rank(rows, field)
+    return rank(rows + [target], field) == base_rank
+
+
+def row_reduce(rows, field):
+    """Reduced row echelon form. Returns (rref_rows, pivot_columns).
+
+    The input rows are not modified.
+    """
+    matrix = [list(r) for r in rows]
+    if not matrix:
+        return [], []
+    ncols = len(matrix[0])
+    pivots = []
+    pivot_row = 0
+    for col in range(ncols):
+        found = None
+        for r in range(pivot_row, len(matrix)):
+            if matrix[r][col]:
+                found = r
+                break
+        if found is None:
+            continue
+        matrix[pivot_row], matrix[found] = matrix[found], matrix[pivot_row]
+        inv = field.inv(matrix[pivot_row][col])
+        matrix[pivot_row] = [field.mul(inv, x) for x in matrix[pivot_row]]
+        for r in range(len(matrix)):
+            if r != pivot_row and matrix[r][col]:
+                factor = matrix[r][col]
+                matrix[r] = [
+                    field.sub(x, field.mul(factor, y))
+                    for x, y in zip(matrix[r], matrix[pivot_row])
+                ]
+        pivots.append(col)
+        pivot_row += 1
+        if pivot_row == len(matrix):
+            break
+    return matrix, pivots
+
+
+def rank(rows, field) -> int:
+    return len(row_reduce(rows, field)[1])
+
+
+def dependencies_by_row_reduction(vectors, field):
+    """(pivots, relations) read off the reduced row echelon form of the
+    matrix with the vectors as columns: the pivot columns, and for each
+    other column j the relation with a 1 at j and the negated entries of
+    column j at the pivot columns."""
+    rref, pivots = row_reduce([list(col) for col in zip(*vectors)], field)
+    relations = []
+    for j in sorted(set(range(len(vectors))) - set(pivots)):
+        vec = [field.zero] * len(vectors)
+        vec[j] = field.one
+        for row, col in zip(rref, pivots):
+            vec[col] = field.neg(row[j])
+        relations.append(vec)
+    return pivots, relations
 
 
 def dimension_by_subset_scan(leading_monomials, nvars: int) -> int:

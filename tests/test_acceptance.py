@@ -42,6 +42,7 @@ from oracles import (
 )
 
 REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+DATA_DIR = Path(__file__).resolve().parent / "data"
 
 D1 = parse_divisor("2*P(0) - 5/8*P(1) - 5/8*P(2) - 5/8*P(3)")
 D2 = parse_divisor(
@@ -70,25 +71,34 @@ def check_full_pipeline(report):
     assert report.passed
 
 
+def read_json(path):
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def check_pinned_report(report, reference):
+    """The report's JSON, without the timings, equals ``reference``."""
+    payload = report.to_json_dict()
+    del payload["timings_ms"]
+    assert json.dumps(payload, indent=2, sort_keys=True) == json.dumps(
+        reference, indent=2, sort_keys=True
+    )
+
+
 def test_criterion_1_counterexample_over_q():
     with criterion(1, "deformed Segre ring over Q: codims 6/6, mu = 9, Y regular"):
-        check_full_pipeline(verify_counterexample("Q"))
+        report = verify_counterexample("Q")
+        check_full_pipeline(report)
+        check_pinned_report(report, read_json(DATA_DIR / "verify-counterexample-Q.json"))
 
 
 def test_criterion_2_counterexample_over_f2():
     with criterion(2, "same flags over F2"):
         report = verify_counterexample("F2")
         check_full_pipeline(report)
-        # the report the benchmark checks, without the CLI's digest and the timings
-        payload = report.to_json_dict()
-        del payload["timings_ms"]
-        reference = json.loads(
-            (REFERENCE_DIR / "verify-counterexample-F2.json").read_text(encoding="utf-8")
-        )
+        # the report the benchmark checks, without the CLI's digest
+        reference = read_json(REFERENCE_DIR / "verify-counterexample-F2.json")
         del reference["inputs_digest"]
-        assert json.dumps(payload, indent=2, sort_keys=True) == json.dumps(
-            reference, indent=2, sort_keys=True
-        )
+        check_pinned_report(report, reference)
 
 
 def test_criterion_3_quotient_ring_is_quasi_gorenstein():
@@ -97,6 +107,7 @@ def test_criterion_3_quotient_ring_is_quasi_gorenstein():
         assert report.summary["mu_canonical"] == 1
         assert report.summary["quasi_gorenstein"] is True
         assert report.passed
+        check_pinned_report(report, read_json(DATA_DIR / "verify-quotient-Q.json"))
 
 
 def test_criterion_4_hilbert_cross_check():

@@ -171,6 +171,17 @@ def test_quotient_ring_pair_over_f2():
         assert pair.colon.contains(g)
 
 
+@pytest.mark.parametrize("field", ["F2", "Q"])
+def test_segre_ideal_is_unmixed(field):
+    # verify-quotient reads quasi-Gorenstein from mu = 1, which presumes
+    # the Segre ideal unmixed; its row has no deformation variable, so the
+    # pipeline's own unmixed step never runs on it
+    from quasigor.segre import segre_ideal, segre_link, segre_ring
+
+    ring = segre_ring(field)
+    assert is_unmixed(build_linkage(segre_ideal(ring), segre_link(ring))) is True
+
+
 def test_select_complete_intersection_small(rxy):
     ambient = Ideal(rxy, ["x^2", "x*y"])
     link = select_complete_intersection(ambient)
