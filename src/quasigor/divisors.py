@@ -17,6 +17,13 @@ since floors are superadditive.  So each level of the section ring is
 the forms of one degree, and one ``linalg.dependencies`` elimination
 gives its new generators and its new relations.
 
+Inside this module a binary form of degree d is a list of d+1 Python
+ints, entry k the coefficient of w^(d-k)*z^k: prime powers come from the
+binomial theorem, (w + i*z)^e = sum_k C(e,k)*i^k * w^(e-k)*z^k, and
+products are integer convolutions.  The forms only become ``P1_RING``
+polynomials with ``Fraction`` coefficients where ``section_basis``
+returns them.
+
 A second, fixed cohomology table covers the degree-3 polarization of an
 elliptic curve (h0 = 1, 3n for n = 0, n >= 1; h1(n) = h0(-n)); this is a
 documented lookup, not a curve-cohomology engine, and the dimensions it
@@ -30,6 +37,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from . import linalg
 from .errors import InputError, ParseError, UnsupportedRequestError
@@ -62,10 +70,10 @@ class CurvePoint:
         return "inf" if self.at_infinity else f"P({self.scalar})"
 
     def prime_form(self, ring: PolyRing = P1_RING) -> Polynomial:
-        w, z = ring.gens()
+        one = ring.field.one
         if self.at_infinity:
-            return z
-        return w + z.scaled(ring.field.scalar(self.scalar))
+            return ring.polynomial({(0, 1): one})
+        return ring.polynomial({(1, 0): one, (0, 1): ring.field.scalar(self.scalar)})
 
     def __repr__(self):
         return self.label
@@ -182,12 +190,38 @@ class SectionSpace:
         return len(self.numerators)
 
 
-def _prime_product(form: Polynomial, powers) -> Polynomial:
+def _prime_power(point: CurvePoint, e: int):
+    """ell_p^e as a coefficient list: (w + i*z)^e, or z^e at inf."""
+    if point.at_infinity:
+        return [0] * e + [1]
+    i = point.scalar
+    return [comb(e, k) * i**k for k in range(e + 1)]
+
+
+def _binary_mul(a, b):
+    """Product of two binary forms given as coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _prime_product(form, powers):
     """``form`` times ell_p^e for each (point p, exponent e) with e > 0."""
     for p, e in powers:
         if e > 0:
-            form = form * p.prime_form() ** int(e)
+            form = _binary_mul(form, _prime_power(p, e))
     return form
+
+
+def _as_polynomial(form) -> Polynomial:
+    """The coefficient list as a ``P1_RING`` polynomial.  The terms of a
+    form of one degree descend in any order with w > z as k ascends, so
+    they are already in canonical order."""
+    d = len(form) - 1
+    return Polynomial(P1_RING, tuple(((d - k, k), Fraction(c)) for k, c in enumerate(form) if c))
 
 
 def section_basis(divisor: QDivisor, n: int) -> SectionSpace:
@@ -201,14 +235,13 @@ def section_basis(divisor: QDivisor, n: int) -> SectionSpace:
     if n < 0:
         raise InputError("section spaces are indexed by n >= 0")
     floored = divisor.floor_multiple(n)
-    one = P1_RING.one()
-    den = _prime_product(one, floored.coefficients.items())
-    deg = int(floored.degree())
+    floors = divisor.floors(n)
+    den = _as_polynomial(_prime_product([1], zip(divisor.support, floors)))
+    deg = sum(floors)
     if deg < 0:
         return SectionSpace(n, floored, den, ())
-    forced = _prime_product(one, ((p, -c) for p, c in floored.coefficients.items()))
-    w, z = P1_RING.gens()
-    numerators = tuple(forced * w ** (deg - i) * z**i for i in range(deg + 1))
+    forced = _prime_product([1], ((p, -c) for p, c in zip(divisor.support, floors)))
+    numerators = tuple(_as_polynomial([0] * i + forced + [0] * (deg - i)) for i in range(deg + 1))
     return SectionSpace(n, floored, den, numerators)
 
 
@@ -232,7 +265,6 @@ def generator_degrees(divisor: QDivisor, degree_bound: int):
     if divisor.degree() < 0:  # floor(n*D) has negative degree at every level
         return (), ()
     field = P1_RING.field
-    w, z = P1_RING.gens()
     points = divisor.support
     generators = []  # (degree, form, floors of degree*D)
     relations = []  # (degree, {exponent tuple: coefficient})
@@ -241,15 +273,15 @@ def generator_degrees(divisor: QDivisor, degree_bound: int):
     for n in range(1, degree_bound + 1):
         floors = divisor.floors(n)
         deg = sum(floors)
-        monomials = [w ** (deg - i) * z**i for i in range(deg + 1)]
+        # w^(deg-i)*z^i is the unit coefficient list with its 1 at entry i
+        monomials = [[0] * i + [1] + [0] * (deg - i) for i in range(deg + 1)]
         exponents = [
             e
             for e in monomials_of_degree([d for d, _, _ in generators], n)
             if not any(monomial_divides(m, e) for m in leading)
         ]
         products = [_product(generators, e, points, floors) for e in exponents]
-        vectors = linalg.coefficient_vectors(products + monomials, field)
-        pivots, kernel = linalg.dependencies(vectors, field)
+        pivots, kernel = linalg.dependencies(products + monomials, field)
         # the product relations come first and are zero past their own column
         free = len(products) - sum(i < len(products) for i in pivots)
         for vec in kernel[:free]:
@@ -277,15 +309,15 @@ def generator_degrees(divisor: QDivisor, degree_bound: int):
     return gen_degrees, rel_degrees
 
 
-def _product(generators, exponents, points, floors) -> Polynomial:
+def _product(generators, exponents, points, floors):
     """Form of a product of generator sections at the level whose floors
     at ``points`` are ``floors``: prod f_i^(e_i) times
     ell_p^(floors_p - sum_i e_i*floor(d_i*D)_p)."""
-    product, short = P1_RING.one(), list(floors)
+    product, short = [1], list(floors)
     for (_, form, gen_floors), e in zip(generators, exponents):
-        if e:
-            product = product * form**e
-            short = [s - e * f for s, f in zip(short, gen_floors)]
+        for _ in range(e):
+            product = _binary_mul(product, form)
+        short = [s - e * f for s, f in zip(short, gen_floors)]
     if any(s < 0 for s in short):
         raise AssertionError("floor superadditivity violated")
     return _prime_product(product, zip(points, short))
@@ -323,10 +355,10 @@ class P1CohomologyTable:
         self.divisor = divisor
 
     def h0(self, n: int) -> int:
-        return h0(self.divisor.floor_multiple(n))
+        return max(0, sum(self.divisor.floors(n)) + 1)
 
     def h1(self, n: int) -> int:
-        return h1(self.divisor.floor_multiple(n))
+        return max(0, -sum(self.divisor.floors(n)) - 1)
 
 
 class EllipticCohomologyTable:

@@ -8,11 +8,13 @@ Groebner engine keeps its elements: primitive integer rows over Q, so
 elimination cross-multiplies Python ints, and monic rows over F_p.
 Exact field values are built only for the relations that leave.
 
-Polynomials enter as coefficient vectors over their joint monomial
-support.  ``independent`` gives the indices of the vectors outside the
-span of the earlier ones (the Nakayama count in ``linkage`` asks it);
-``dependencies`` gives the same pivots and, from the same reduction, a
-relation for each other vector (the section-ring search in ``divisors``).
+``independent`` gives the indices of the vectors outside the span of the
+earlier ones; the Nakayama count in ``linkage`` asks it of polynomials
+turned into coefficient vectors over their joint monomial support by
+``coefficient_vectors``.  ``dependencies`` gives the same pivots and,
+from the same reduction, a relation for each other vector; the
+section-ring search in ``divisors`` passes it the integer coefficient
+lists of its binary forms directly.
 """
 
 from __future__ import annotations
@@ -22,7 +24,11 @@ def dependencies(vectors, field):
     """(pivots, relations): the ascending indices of the vectors outside
     the span of the earlier ones, and for each other vector, in increasing
     order, the relation writing it through the earlier pivot vectors, with
-    a 1 at its index and zeros past it."""
+    a 1 at its index and zeros past it.
+
+    Entries may be ints or field values: over Q ``normalize`` reads only
+    their ``numerator`` and ``denominator``, and the relations leave as
+    field values through ``field.div`` either way."""
     width = len(vectors[0]) if vectors else 0
     mul, sub = field.mul, field.sub
     rows = {}  # leading column -> echelon row, as normal-form (column, entry) terms

@@ -5,14 +5,17 @@ by a degree-bounded exact linear system, ranks by a reduced row echelon
 form over field inverses (the library eliminates fraction-free, without
 inverses), dimension by a scan of every
 variable subset (the library branches and bounds), complete-intersection
-Hilbert functions by generating-function coefficient extraction, and point
-multiplicities by repeated exact division.
+Hilbert functions by generating-function coefficient extraction, point
+multiplicities by repeated exact division, and section spaces by
+``Polynomial`` products of prime forms (the library convolves integer
+coefficient lists).
 """
 
 from __future__ import annotations
 
 from math import comb
 
+from quasigor.divisors import P1_RING, SectionSpace
 from quasigor.errors import InputError
 from quasigor.ideals import exact_quotient
 from quasigor.rings import Polynomial, monomial_mul
@@ -155,6 +158,30 @@ def vanishing_order(form: Polynomial, prime: Polynomial) -> int:
         except InputError:
             return order
         order += 1
+
+
+def section_basis_by_polynomials(divisor, n: int) -> SectionSpace:
+    """The level-n section space of ``divisor`` built in ``P1_RING``: the
+    denominator is prod ell_p^c over the positive floor coefficients c, and
+    the numerators are prod ell_p^(-c) over the negative ones times the
+    monomials w^(deg-i)*z^i, each prime power ``prime_form() ** e``."""
+    floored = divisor.floor_multiple(n)
+
+    def prime_product(form, powers):
+        for p, e in powers:
+            if e > 0:
+                form = form * p.prime_form() ** int(e)
+        return form
+
+    one = P1_RING.one()
+    den = prime_product(one, floored.coefficients.items())
+    deg = int(floored.degree())
+    if deg < 0:
+        return SectionSpace(n, floored, den, ())
+    forced = prime_product(one, ((p, -c) for p, c in floored.coefficients.items()))
+    w, z = P1_RING.gens()
+    numerators = tuple(forced * w ** (deg - i) * z**i for i in range(deg + 1))
+    return SectionSpace(n, floored, den, numerators)
 
 
 def random_polynomial(ring, rng, max_degree: int = 3, max_terms: int = 4) -> Polynomial:

@@ -24,8 +24,9 @@ from quasigor.divisors import (
 from quasigor.errors import InputError, ParseError, UnsupportedRequestError
 from quasigor.ideals import exact_quotient
 from quasigor.linalg import rank
+from quasigor.rings import Polynomial
 
-from oracles import vanishing_order
+from oracles import section_basis_by_polynomials, vanishing_order
 
 
 D1 = parse_divisor("2*P(0) - 5/8*P(1) - 5/8*P(2) - 5/8*P(3)")
@@ -191,6 +192,47 @@ def test_products_stay_in_span():
                 )
                 row = coefficients(product * adjust)
                 assert rank(basis_rows + [row], field) == base_rank
+
+
+def test_section_basis_agrees_with_polynomial_oracle_randomized():
+    # integer coefficient lists inside, Fraction polynomials at the return:
+    # the same spaces, term for term and scalar type for scalar type, as
+    # products of prime-form powers in P1_RING
+    rng = random.Random(97)
+    points = [CurvePoint.finite(i) for i in range(-4, 7)] + [CurvePoint.infinity()]
+    for _ in range(200):
+        chosen = rng.sample(points, rng.randint(1, 4))
+        divisor = QDivisor({p: Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for p in chosen})
+        for n in range(13):
+            space = section_basis(divisor, n)
+            assert space == section_basis_by_polynomials(divisor, n), (divisor, n)
+            for form in (space.denominator,) + space.numerators:
+                assert all(type(c) is Fraction for _, c in form.terms)
+        table = P1CohomologyTable(divisor)
+        for n in range(-12, 13):
+            assert table.h0(n) == h0(divisor.floor_multiple(n))
+            assert table.h1(n) == h1(divisor.floor_multiple(n))
+
+
+def test_divisors_do_no_polynomial_arithmetic_on_p1(monkeypatch):
+    # section spaces and the generator search multiply integer coefficient
+    # lists; only the relation bases in k[T] may use Polynomial arithmetic
+    seen = []
+    for name in ("__mul__", "__pow__"):
+        original = getattr(Polynomial, name)
+
+        def recording(self, other, _original=original):
+            seen.append(self.ring)
+            if isinstance(other, Polynomial):
+                seen.append(other.ring)
+            return _original(self, other)
+
+        monkeypatch.setattr(Polynomial, name, recording)
+    section_basis(D2, 9)
+    assert generator_degrees(D2, 18) == ((2, 2, 9), (18,))
+    assert P1_RING not in seen
+    w, z = P1_RING.gens()
+    assert w * z**2 and P1_RING in seen  # the recording sees P1_RING products
 
 
 # ---------------------------------------------------------------------------
