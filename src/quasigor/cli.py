@@ -24,12 +24,7 @@ import warnings
 from pathlib import Path
 
 from . import divisors as dv
-from .errors import (
-    InputError,
-    QuasigorError,
-    UnsupportedRequestError,
-    VerificationError,
-)
+from .errors import InputError, QuasigorError, UnsupportedRequestError
 from .groebner import buchberger
 from .ideals import Ideal
 from .linkage import verify_counterexample, verify_quotient_ring
@@ -261,9 +256,6 @@ def main(argv=None) -> int:
         except UnsupportedRequestError as exc:
             print(f"unsupported: {exc}", file=sys.stderr)
             return EXIT_UNSUPPORTED
-        except VerificationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_FAIL
         except (InputError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INPUT

@@ -43,7 +43,7 @@ from . import linalg
 from .errors import InputError, ParseError, UnsupportedRequestError
 from .fields import QQ
 from .groebner import buchberger
-from .parse import Token, _TokenStream, tokenize
+from .parse import _TokenStream, tokenize
 from .rings import Polynomial, PolyRing, monomial_divides, monomials_of_degree
 
 #: Homogeneous coordinate ring of P^1 used for section numerators.
@@ -68,12 +68,6 @@ class CurvePoint:
     @property
     def label(self) -> str:
         return "inf" if self.at_infinity else f"P({self.scalar})"
-
-    def prime_form(self, ring: PolyRing = P1_RING) -> Polynomial:
-        one = ring.field.one
-        if self.at_infinity:
-            return ring.polynomial({(0, 1): one})
-        return ring.polynomial({(1, 0): one, (0, 1): ring.field.scalar(self.scalar)})
 
     def __repr__(self):
         return self.label

@@ -13,6 +13,10 @@ That second colon divides by the generators of d whose normal forms are
 independent, together with c0, once reduced-basis equality certifies that
 they generate d; a weight-0 variable keeps local minimality at M from
 implying that, so without the certificate all of d's generators are used.
+
+The verification commands run one driver over ``_PIPELINES``, a table
+with one row per built-in ring naming its data files, its expected mu and
+its deformation variable; ``built_in_row`` loads a row over any field.
 """
 
 from __future__ import annotations
@@ -20,12 +24,15 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import cached_property
+from importlib import resources
 
-from . import linalg, segre
+from . import linalg
 from .errors import InputError, VerificationError
-from .fields import field_label
+from .fields import field_label, parse_field
 from .ideals import Ideal
+from .parse import parse_generators, parse_ring
 from .reporting import VerificationReport
+from .rings import PolyRing
 
 
 @dataclass(frozen=True)
@@ -56,10 +63,6 @@ class CanonicalModulePresentation:
     generator_images: tuple
     min_generators: int
     independent: tuple  # colon generators whose images are a k-basis of all images
-
-    @property
-    def is_cyclic(self) -> bool:
-        return self.min_generators == 1
 
 
 def build_linkage(ambient: Ideal, link: Ideal) -> LinkagePair:
@@ -203,15 +206,28 @@ def _timed(report: VerificationReport, label: str, fn):
     return value
 
 
-# command -> (ring, ambient and link loaders, expected mu, deformation
-# variable); a ring with a deformation variable also gets its regularity
-# and the unmixedness of the ideal checked
+# command -> (ring, ideal and link files under data/, expected mu,
+# deformation variable); a ring with a deformation variable also gets its
+# regularity and the unmixedness of the ideal checked.  The first row is
+# the Segre ring plus a variable Y of weight 0, and Y -> 0 maps its ideal
+# and link files, line by line, onto the second row's: the Segre product
+# of k[x,y,z]/(x^3) and k[a,b,c]/(a^3) and its induced link.
 _PIPELINES = {
-    "verify-counterexample": (
-        segre.deformation_ring, segre.deformation_ideal, segre.deformation_link, 9, "Y",
-    ),
-    "verify-quotient": (segre.segre_ring, segre.segre_ideal, segre.segre_link, 1, None),
+    "verify-counterexample": ("deformation_ring.txt", "deformation_ideal.txt", "link_ideal.txt", 9, "Y"),
+    "verify-quotient": ("segre_ring.txt", "segre_ideal.txt", "segre_link_ideal.txt", 1, None),
 }
+
+
+def built_in_row(command: str, field="Q"):
+    """(ring, ideal, link) of a built-in row: the declared ring rebuilt
+    over the field labelled ``field``, with the same names and weights."""
+    data = resources.files("quasigor") / "data"
+    files = _PIPELINES[command][:3]
+    ring_text, *ideal_texts = ((data / name).read_text(encoding="utf-8") for name in files)
+    declared = parse_ring(ring_text)
+    ring = PolyRing(declared.names, parse_field(field), declared.weights)
+    ideal, link = (Ideal(ring, parse_generators(text, ring)) for text in ideal_texts)
+    return ring, ideal, link
 
 
 def _verify(command: str, field) -> VerificationReport:
@@ -222,15 +238,11 @@ def _verify(command: str, field) -> VerificationReport:
     Over Q and F2 every step is asserted; other prime fields run the same
     computation flagged experimental, with nothing asserted.
     """
-    make_ring, make_ambient, make_link, expected_mu, deformation = _PIPELINES[command]
-    field_obj = segre.resolve_field(field)
-    label = field_label(field_obj)
+    expected_mu, deformation = _PIPELINES[command][3:]
+    ring, ambient, link = built_in_row(command, field)
+    label = field_label(ring.field)
     asserted = label in ("Q", "F2")
     report = VerificationReport(command=command, field_label=label, experimental=not asserted)
-
-    ring = make_ring(field_obj)
-    ambient = make_ambient(ring)
-    link = make_link(ring)
 
     codim_link = _timed(report, "codim-link", link.codimension)
     report.add("codim-link", codim_link, 6, asserted)

@@ -211,13 +211,6 @@ class Polynomial:
             raise InputError("the zero polynomial has no leading coefficient")
         return self.terms[0][1]
 
-    def constant_coefficient(self):
-        zero_m = self.ring.zero_monomial
-        for m, c in self.terms:
-            if m == zero_m:
-                return c
-        return self.ring.field.zero
-
     def is_constant(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and self.terms[0][0] == self.ring.zero_monomial)
 

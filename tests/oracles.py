@@ -160,17 +160,26 @@ def vanishing_order(form: Polynomial, prime: Polynomial) -> int:
         order += 1
 
 
+def prime_form(point) -> Polynomial:
+    """The linear form ell_p of a curve point in ``P1_RING``: w + i*z for
+    P(i), z at infinity."""
+    one = P1_RING.field.one
+    if point.at_infinity:
+        return P1_RING.polynomial({(0, 1): one})
+    return P1_RING.polynomial({(1, 0): one, (0, 1): P1_RING.field.scalar(point.scalar)})
+
+
 def section_basis_by_polynomials(divisor, n: int) -> SectionSpace:
     """The level-n section space of ``divisor`` built in ``P1_RING``: the
     denominator is prod ell_p^c over the positive floor coefficients c, and
     the numerators are prod ell_p^(-c) over the negative ones times the
-    monomials w^(deg-i)*z^i, each prime power ``prime_form() ** e``."""
+    monomials w^(deg-i)*z^i, each prime power ``prime_form(p) ** e``."""
     floored = divisor.floor_multiple(n)
 
     def prime_product(form, powers):
         for p, e in powers:
             if e > 0:
-                form = form * p.prime_form() ** int(e)
+                form = form * prime_form(p) ** int(e)
         return form
 
     one = P1_RING.one()

@@ -30,9 +30,8 @@ from quasigor.divisors import (
 )
 from quasigor.groebner import buchberger, s_polynomial
 from quasigor.ideals import Ideal
-from quasigor.linkage import verify_counterexample, verify_quotient_ring
+from quasigor.linkage import built_in_row, verify_counterexample, verify_quotient_ring
 from quasigor.rings import PolyRing
-from quasigor.segre import deformation_link, deformation_ring, segre_ideal, segre_ring
 
 from oracles import (
     ci_hilbert_coefficient,
@@ -112,8 +111,7 @@ def test_criterion_3_quotient_ring_is_quasi_gorenstein():
 
 def test_criterion_4_hilbert_cross_check():
     with criterion(4, "Hilbert function of the Segre ideal is 1,9,36,81,144,225"):
-        ring = segre_ring("Q")
-        ideal = segre_ideal(ring)
+        _, ideal, _ = built_in_row("verify-quotient")
         expected = [1, 9, 36, 81, 144, 225]
         values = [ideal.hilbert_function(n) for n in range(6)]
         assert values == expected
@@ -177,7 +175,7 @@ def test_criterion_7_property_suites():
             checked += 1
 
         # the link ideal of the built-in pipeline also closes
-        _spoly_closure(deformation_link(deformation_ring("Q")).groebner_basis())
+        _spoly_closure(built_in_row("verify-counterexample")[2].groebner_basis())
 
         # dimension vs the exhaustive subset oracle, 50 monomial ideals
         ring4 = PolyRing(("x", "y", "z", "w"))

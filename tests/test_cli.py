@@ -10,10 +10,10 @@ import pytest
 from quasigor import cli, linkage
 from quasigor.errors import InputError
 from quasigor.reporting import VerificationReport
-from quasigor.segre import data_text
 
 ROOT = Path(__file__).resolve().parents[1]
 REFERENCE_DIR = ROOT / "perfbench" / "reference"
+DATA_DIR = ROOT / "src" / "quasigor" / "data"
 
 D1 = "2*P(0) - 5/8*P(1) - 5/8*P(2) - 5/8*P(3)"
 D2 = (
@@ -24,7 +24,7 @@ D2 = (
 
 @pytest.fixture(scope="module")
 def schema():
-    return json.loads(data_text("report_schema.json"))
+    return json.loads((DATA_DIR / "report_schema.json").read_text())
 
 
 @pytest.fixture
@@ -39,14 +39,9 @@ def small_ring(tmp_path):
 
 
 @pytest.fixture
-def segre_files(tmp_path):
-    ring = tmp_path / "segre_ring.txt"
-    ring.write_text(data_text("segre_ring.txt"))
-    ideal = tmp_path / "segre_ideal.txt"
-    ideal.write_text(data_text("segre_ideal.txt"))
-    link = tmp_path / "segre_link.txt"
-    link.write_text(data_text("segre_link_ideal.txt"))
-    return ring, ideal, link
+def segre_files():
+    names = ("segre_ring.txt", "segre_ideal.txt", "segre_link_ideal.txt")
+    return tuple(DATA_DIR / name for name in names)
 
 
 def run(capsys, argv):
@@ -70,11 +65,8 @@ def test_member_of_unit_ideal(capsys, small_ring):
     assert (code, out.strip()) == (0, "true")
 
 
-def test_shipped_link_ideal_codim_is_six(capsys, tmp_path):
-    ring = tmp_path / "ring.txt"
-    ring.write_text(data_text("deformation_ring.txt"))
-    link = tmp_path / "link.txt"
-    link.write_text(data_text("link_ideal.txt"))
+def test_shipped_link_ideal_codim_is_six(capsys):
+    ring, link = DATA_DIR / "deformation_ring.txt", DATA_DIR / "link_ideal.txt"
     code, out, _ = run(capsys, ["ideal", "codim", "--ring", str(ring), str(link)])
     assert (code, out.strip()) == (0, "6")
 

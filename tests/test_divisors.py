@@ -26,7 +26,7 @@ from quasigor.ideals import exact_quotient
 from quasigor.linalg import rank
 from quasigor.rings import Polynomial
 
-from oracles import section_basis_by_polynomials, vanishing_order
+from oracles import prime_form, section_basis_by_polynomials, vanishing_order
 
 
 D1 = parse_divisor("2*P(0) - 5/8*P(1) - 5/8*P(2) - 5/8*P(3)")
@@ -151,7 +151,7 @@ def test_sections_satisfy_pole_constraints():
         floored = divisor.floor_multiple(n)
         for numerator in space.numerators:
             for point in floored.support:
-                prime = point.prime_form(P1_RING)
+                prime = prime_form(point)
                 order = vanishing_order(numerator, prime) - vanishing_order(
                     space.denominator, prime
                 )

@@ -7,6 +7,7 @@ from quasigor.ideals import Ideal
 from quasigor.linkage import (
     LinkagePair,
     build_linkage,
+    built_in_row,
     is_quasi_gorenstein,
     is_unmixed,
     minimal_generator_count,
@@ -135,7 +136,6 @@ def test_presentation_object(rxy):
     I = Ideal(rxy, ["x"])
     pres = present_canonical_module(build_linkage(I, I))
     assert pres.min_generators == 1
-    assert pres.is_cyclic
     assert len(pres.generator_images) == len(pres.pair.colon.generators)
     assert len(pres.independent) == pres.min_generators
 
@@ -159,10 +159,8 @@ def test_unmixed_part_falls_back_when_selection_misses_colon():
 
 def test_quotient_ring_pair_over_f2():
     # the colon of the verify-quotient pipeline: d*a inside c and c inside d
-    from quasigor.segre import segre_ideal, segre_link, segre_ring
-
-    ring = segre_ring("F2")
-    pair = build_linkage(segre_ideal(ring), segre_link(ring))
+    _, ideal, link = built_in_row("verify-quotient", "F2")
+    pair = build_linkage(ideal, link)
     link_basis = pair.link.groebner_basis()
     for f in pair.colon.generators:
         for g in pair.ambient.generators:
@@ -176,10 +174,8 @@ def test_segre_ideal_is_unmixed(field):
     # verify-quotient reads quasi-Gorenstein from mu = 1, which presumes
     # the Segre ideal unmixed; its row has no deformation variable, so the
     # pipeline's own unmixed step never runs on it
-    from quasigor.segre import segre_ideal, segre_link, segre_ring
-
-    ring = segre_ring(field)
-    assert is_unmixed(build_linkage(segre_ideal(ring), segre_link(ring))) is True
+    _, ideal, link = built_in_row("verify-quotient", field)
+    assert is_unmixed(build_linkage(ideal, link)) is True
 
 
 def test_select_complete_intersection_small(rxy):
@@ -212,10 +208,7 @@ def test_mu_is_link_independent_at_full_scale():
     # the automatic selector picks a different complete intersection than
     # the shipped link (two plain minors, the deformed minor, three cubes);
     # the canonical module count must not depend on the chosen link
-    from quasigor.segre import deformation_ideal, deformation_ring
-
-    ring = deformation_ring("F2")
-    ambient = deformation_ideal(ring)
+    _, ambient, _ = built_in_row("verify-counterexample", "F2")
     link = select_complete_intersection(ambient)
     assert len(link.generators) == 6
     pair = build_linkage(ambient, link)
