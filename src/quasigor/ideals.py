@@ -9,18 +9,19 @@ extended by one column) and eliminate it: in the ring reordered by
 t-free part of the reduced basis of t*I + (1-t)*J is the reduced basis of
 the intersection.  Colon ideals split over the generators of the divisor
 ideal, each handled through I : g = (1/g)(I and (g)), with I given by its
-reduced basis; the factors are intersected pairwise, level by level, as a
-balanced tree.  Dimension is the combinatorial dimension of the initial
-ideal (Kredel and Weispfenning, JSC 6, 1988): the variable count minus the
-fewest variables meeting every leading-monomial support, found by branch
-and bound on support bitmasks.  On edge ideals that is vertex cover, so
-the search stays exponential in the worst case.
+reduced basis and every generator of I and (g) divided by one division
+engine holding g; the factors are intersected pairwise, level by level,
+as a balanced tree.  Dimension is the combinatorial dimension of the
+initial ideal (Kredel and Weispfenning, JSC 6, 1988): the variable count
+minus the fewest variables meeting every leading-monomial support, found
+by branch and bound on support bitmasks.  On edge ideals that is vertex
+cover, so the search stays exponential in the worst case.
 """
 
 from __future__ import annotations
 
 from .errors import InputError, RingMismatchError, UnsupportedRequestError
-from .groebner import GroebnerBasis, buchberger, exact_quotient
+from .groebner import GroebnerBasis, _Division, buchberger
 from .orders import elimination_order
 from .rings import Polynomial, PolyRing, monomial_divides, monomials_of_degree
 
@@ -157,7 +158,8 @@ class Ideal:
             if gb_self.contains(g):
                 continue  # g already in I, so I : g is the unit ideal
             meet = Ideal(ring, gb_self.polys).intersect(Ideal(ring, [g]))
-            factors.append(Ideal(ring, [exact_quotient(f, g) for f in meet.generators]))
+            divide = _Division(ring, [g])
+            factors.append(Ideal(ring, [divide(f, quotient=True) for f in meet.generators]))
         if not factors:
             return Ideal(ring, [ring.one()])
         # a balanced tree: the same number of intersections as a left fold,

@@ -11,8 +11,10 @@ together with unmixedness (checked through the liaison identity
 c0 : (c0 : a) = unmixed part of a) is the quasi-Gorenstein certificate.
 That second colon divides by the generators of d whose normal forms are
 independent, together with c0, once reduced-basis equality certifies that
-they generate d; a weight-0 variable keeps local minimality at M from
-implying that, so without the certificate all of d's generators are used.
+they generate d.  On a positively graded ring with homogeneous d, graded
+Nakayama implies that and the certificate always holds, as on both
+built-in rows; a weight-0 variable keeps local minimality at M from
+implying it, so without the certificate all of d's generators are used.
 
 The verification commands run one driver over ``_PIPELINES``, a table
 with one row per built-in ring naming its data files, its expected mu and
@@ -209,9 +211,11 @@ def _timed(report: VerificationReport, label: str, fn):
 # command -> (ring, ideal and link files under data/, expected mu,
 # deformation variable); a ring with a deformation variable also gets its
 # regularity and the unmixedness of the ideal checked.  The first row is
-# the Segre ring plus a variable Y of weight 0, and Y -> 0 maps its ideal
-# and link files, line by line, onto the second row's: the Segre product
-# of k[x,y,z]/(x^3) and k[a,b,c]/(a^3) and its induced link.
+# the Segre ring plus a variable Y, graded positively by deg Z_ij = r_i + c_j
+# with r = (1,1,1), c = (0,1,1) and deg Y = 2, so that its ideal, its link
+# and Y are homogeneous; Y -> 0 maps its ideal and link files, line by
+# line, onto the second row's: the Segre product of k[x,y,z]/(x^3) and
+# k[a,b,c]/(a^3) and its induced link, standard graded.
 _PIPELINES = {
     "verify-counterexample": ("deformation_ring.txt", "deformation_ideal.txt", "link_ideal.txt", 9, "Y"),
     "verify-quotient": ("segre_ring.txt", "segre_ideal.txt", "segre_link_ideal.txt", 1, None),

@@ -17,7 +17,7 @@ from math import comb
 
 from quasigor.divisors import P1_RING, SectionSpace
 from quasigor.errors import InputError
-from quasigor.ideals import exact_quotient
+from quasigor.groebner import exact_quotient
 from quasigor.rings import Polynomial, monomial_mul
 
 

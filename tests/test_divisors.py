@@ -22,7 +22,7 @@ from quasigor.divisors import (
     watanabe_gorenstein,
 )
 from quasigor.errors import InputError, ParseError, UnsupportedRequestError
-from quasigor.ideals import exact_quotient
+from quasigor.groebner import exact_quotient
 from quasigor.linalg import rank
 from quasigor.rings import Polynomial
 

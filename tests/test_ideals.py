@@ -5,7 +5,8 @@ import pytest
 from quasigor import ideals
 from quasigor.errors import InputError, RingMismatchError, UnsupportedRequestError
 from quasigor.fields import QQ, PrimeField
-from quasigor.ideals import Ideal, exact_quotient
+from quasigor.groebner import exact_quotient
+from quasigor.ideals import Ideal
 from quasigor.orders import GrevlexOrder, LexOrder, elimination_order
 from quasigor.parse import parse_ring
 from quasigor.rings import PolyRing

@@ -178,6 +178,26 @@ def test_segre_ideal_is_unmixed(field):
     assert is_unmixed(build_linkage(ideal, link)) is True
 
 
+@pytest.mark.parametrize("field", ["F2", "Q"])
+def test_regularity_agrees_with_hilbert_functions(field):
+    # a homogeneous v of degree e that is regular on R/a gives the exact
+    # sequence 0 -> (R/a)(-e) -> R/a -> R/(a + v) -> 0, so
+    # HF(R/(a + v))(n) = HF(R/a)(n) - HF(R/a)(n - e).  Checked only up to
+    # degree 10, the identity is a necessary condition, not a proof: here
+    # it must hold for the regular Y and fail for the zero divisor Z1
+    ring, ideal, _ = built_in_row("verify-counterexample", field)
+    for name, regular in (("Y", True), ("Z1", False)):
+        v = ring.variable(name)
+        e = v.weighted_degree()
+        cut = ideal + Ideal(ring, [v])
+        identity = all(
+            cut.hilbert_function(n) == ideal.hilbert_function(n) - ideal.hilbert_function(n - e)
+            for n in range(11)
+        )
+        assert ideal.is_regular_element(v) is regular
+        assert identity is regular
+
+
 def test_select_complete_intersection_small(rxy):
     ambient = Ideal(rxy, ["x^2", "x*y"])
     link = select_complete_intersection(ambient)

@@ -15,11 +15,15 @@ DATA_DIR = Path(__file__).resolve().parents[1] / "src" / "quasigor" / "data"
 
 
 def test_ring_shapes():
-    big, _, _ = built_in_row("verify-counterexample", "F2")
+    big, ideal, link = built_in_row("verify-counterexample", "F2")
     declared = parse_ring((DATA_DIR / "deformation_ring.txt").read_text())
     assert (big.names, big.weights) == (declared.names, declared.weights)
     assert big.field == PrimeField(2)
-    assert big.names[-1] == "Y" and big.weights == (1,) * 9 + (0,)
+    # deg Z_ij = r_i + c_j with r = (1,1,1), c = (0,1,1), and deg Y = 2: a
+    # positive grading in which the ideal, the link and Y are homogeneous
+    assert big.names[-1] == "Y" and big.weights == (1, 2, 2, 1, 2, 2, 1, 2, 2, 2)
+    assert all(w > 0 for w in big.weights)
+    assert all(g.is_homogeneous() for g in ideal.generators + link.generators)
     small, _, _ = built_in_row("verify-quotient", "F2")
     assert small.nvars == 9 and small.field == PrimeField(2)
 
